@@ -17,16 +17,18 @@
 //!   time-to-reconverge percentiles (p50/p95/max rounds from damage to
 //!   the next completed phase/epoch), and the soak asserts the
 //!   distributions are nonzero wherever churn actually bit;
-//! * **determinism** — one pinned cell per family re-runs at simulator
-//!   threads {1, 2, 4, 8} and must be byte-identical (outcome, metrics,
-//!   and recovery timeline), because churn verdicts are pure functions of
-//!   `(churn seed, round, edge)`.
+//! * **determinism** — one pinned cell per family re-runs with the same
+//!   seed and must be byte-identical (outcome, metrics, and recovery
+//!   timeline), and a churned simulator run replays byte-identically with
+//!   the per-round node visit order reversed, because churn verdicts are
+//!   pure functions of `(churn seed, round, edge)`.
 //!
-//! `--smoke` (or `E17_SMOKE=1`) shrinks the sweep for CI: smaller graphs,
-//! one flap cell, threads {1, 4}.
+//! `--smoke` (or `E17_SMOKE=1`) shrinks the sweep for CI: smaller graphs
+//! and one flap cell.
 
+use amt_bench::scale::scale_fleet;
 use amt_bench::{expander, Report};
-use amt_core::congest::CongestError;
+use amt_core::congest::{CongestError, RunConfig, Simulator};
 use amt_core::mst::{healing as mst_healing, reference, MstError};
 use amt_core::prelude::*;
 use amt_core::routing::{route_bitfix_churned, MAX_ROUTE_EPOCHS};
@@ -108,7 +110,6 @@ fn churn_sweep(report: &mut Report, n: usize, walks: usize, flaps: &[f64], resta
                 21,
                 plan.clone(),
                 churn.clone(),
-                4,
             )
             .expect("valid plans");
             let walks_ok = walk_out.endpoints.iter().all(Option::is_some);
@@ -117,7 +118,7 @@ fn churn_sweep(report: &mut Report, n: usize, walks: usize, flaps: &[f64], resta
             slo_row(report, &name, &walk_out.timeline, walks_ok);
             assert!(walks_ok, "{name}: a walk failed to finish under churn");
 
-            let mst_out = mst_healing::run_healing_churned(&wg, 5, plan, churn, 4)
+            let mst_out = mst_healing::run_healing_churned(&wg, 5, plan, churn)
                 .expect("survivors stay connected");
             let want = survivor_mst_weight(&wg, &mst_out.crashed_nodes, &[]);
             let mst_ok = mst_out.total_weight == want;
@@ -154,7 +155,7 @@ fn route_cells(report: &mut Report, dim: u32, flaps: &[f64]) {
             .seeded(0x17 ^ (flap * 1000.0) as u64)
             .with_flaps(flap, 3)
             .with_restart(NodeId(6), 1, 4);
-        let out = route_bitfix_churned(&g, &reqs, 12, churn, 4).expect("hypercube");
+        let out = route_bitfix_churned(&g, &reqs, 12, churn).expect("hypercube");
         let ok = out.undelivered.is_empty() && !out.degraded();
         let name = format!("route flap={flap:.2}");
         report.metrics(&name, &out.metrics);
@@ -179,7 +180,7 @@ fn cut_cells(report: &mut Report, n: usize) {
         let mut rng = StdRng::seed_from_u64(17);
         let wg = WeightedGraph::with_random_weights(g, 4000, &mut rng);
         let churn = ChurnPlan::none().seeded(7).with_edge_cut(EdgeId(0), 4);
-        let out = mst_healing::run_healing_churned(&wg, 5, FaultPlan::none(), churn, 4)
+        let out = mst_healing::run_healing_churned(&wg, 5, FaultPlan::none(), churn)
             .expect("one cut edge never disconnects an expander");
         let want = survivor_mst_weight(&wg, &[], &[EdgeId(0)]);
         let ok = out.total_weight == want;
@@ -213,7 +214,7 @@ fn cut_cells(report: &mut Report, n: usize) {
             .seeded(4)
             .with_edge_cut(EdgeId(3), 2)
             .with_edge_cut(EdgeId(4), 2);
-        let err = mst_healing::run_healing_churned(&wg, 1, FaultPlan::none(), churn, 4)
+        let err = mst_healing::run_healing_churned(&wg, 1, FaultPlan::none(), churn)
             .expect_err("cutting every bridge must partition");
         let ok = matches!(
             err,
@@ -244,7 +245,7 @@ fn cut_cells(report: &mut Report, n: usize) {
             }
         }
         let reqs: Vec<(NodeId, NodeId)> = (1..8).map(|i| (NodeId(i), NodeId(i % 2))).collect();
-        let out = route_bitfix_churned(&g, &reqs, 9, churn, 4).expect("valid plan");
+        let out = route_bitfix_churned(&g, &reqs, 9, churn).expect("valid plan");
         let ok = out.degraded()
             && out.epochs == MAX_ROUTE_EPOCHS
             && reqs
@@ -265,12 +266,13 @@ fn cut_cells(report: &mut Report, n: usize) {
     }
 }
 
-/// The determinism contract under churn: one pinned cell per family,
-/// byte-identical (outcome, metrics, recovery timeline) at every thread
-/// count.
-fn threads_table(report: &mut Report, n: usize, walks: usize, thread_counts: &[usize]) {
-    println!("\n## Byte-identical replay vs simulator threads (churned path)\n");
-    report.header(&["workload", "threads", "rounds", "identical"]);
+/// The determinism contract under churn: one pinned cell per family
+/// replayed with the same seed, plus a churned simulator run replayed with
+/// the node visit order reversed — each byte-identical (outcome, metrics,
+/// recovery timeline or churn-event log).
+fn replay_table(report: &mut Report, n: usize, walks: usize) {
+    println!("\n## Byte-identical replay (churned path)\n");
+    report.header(&["workload", "replay", "rounds", "identical"]);
     let g = expander(n, 6, 1);
     let mut rng = StdRng::seed_from_u64(17);
     let wg = WeightedGraph::with_random_weights(g.clone(), 4000, &mut rng);
@@ -289,54 +291,65 @@ fn threads_table(report: &mut Report, n: usize, walks: usize, thread_counts: &[u
     let reqs: Vec<(NodeId, NodeId)> = (0..64u32)
         .map(|i| (NodeId(i), NodeId((5 * i + 3) % 64)))
         .collect();
+    let mut row = |workload: &str, replay: &str, rounds: u64, identical: bool| {
+        report.row(&[
+            workload.into(),
+            replay.into(),
+            rounds.to_string(),
+            identical.to_string(),
+        ]);
+        assert!(identical, "{workload}: {replay} diverged");
+    };
 
-    let mut walk_base = None;
-    let mut mst_base = None;
-    let mut route_base = None;
-    for &threads in thread_counts {
-        let w = run_walks_healing_churned(
-            &g,
-            WalkKind::Lazy,
-            &specs,
-            21,
-            plan.clone(),
-            churn.clone(),
-            threads,
-        )
+    let walk = || {
+        run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 21, plan.clone(), churn.clone())
+            .unwrap()
+    };
+    let w = walk();
+    row("churned walks", "same seed", w.metrics.rounds, walk() == w);
+
+    let mst = || mst_healing::run_healing_churned(&wg, 5, plan.clone(), churn.clone()).unwrap();
+    let m = mst();
+    row("churned boruvka", "same seed", m.metrics.rounds, mst() == m);
+
+    let route = || route_bitfix_churned(&rg, &reqs, 12, churn.clone()).unwrap();
+    let r = route();
+    row(
+        "churned bit-fix",
+        "same seed",
+        r.metrics.rounds,
+        route() == r,
+    );
+
+    // The scaling-tier workload under the same churn plan, stepped in
+    // ascending and in descending node order.
+    let sim_run = |reverse: bool| {
+        let mut sim = Simulator::new(&g, scale_fleet(n), 77)
+            .unwrap()
+            .with_churn_plan(churn.clone());
+        let cfg = RunConfig::all_done();
+        let m = if reverse {
+            sim.run_reverse_visit(&cfg)
+        } else {
+            sim.run(&cfg)
+        }
         .unwrap();
-        let identical = walk_base.get_or_insert_with(|| w.clone()) == &w;
-        report.row(&[
-            "churned walks".into(),
-            threads.to_string(),
-            w.metrics.rounds.to_string(),
-            identical.to_string(),
-        ]);
-        assert!(identical, "churned walks diverged at {threads} threads");
-
-        let m =
-            mst_healing::run_healing_churned(&wg, 5, plan.clone(), churn.clone(), threads).unwrap();
-        let identical = mst_base.get_or_insert_with(|| m.clone()) == &m;
-        report.row(&[
-            "churned boruvka".into(),
-            threads.to_string(),
-            m.metrics.rounds.to_string(),
-            identical.to_string(),
-        ]);
-        assert!(identical, "churned boruvka diverged at {threads} threads");
-
-        let r = route_bitfix_churned(&rg, &reqs, 12, churn.clone(), threads).unwrap();
-        let identical = route_base.get_or_insert_with(|| r.clone()) == &r;
-        report.row(&[
-            "churned bit-fix".into(),
-            threads.to_string(),
-            r.metrics.rounds.to_string(),
-            identical.to_string(),
-        ]);
-        assert!(identical, "churned bit-fix diverged at {threads} threads");
-    }
+        let digests: Vec<u64> = sim.nodes().iter().map(|p| p.digest).collect();
+        (m, sim.churn_events().to_vec(), digests)
+    };
+    let fwd = sim_run(false);
+    assert!(fwd.0.lost_to_churn > 0, "the churn plan must bite");
+    row(
+        "churned simulator",
+        "visit reversal",
+        fwd.0.rounds,
+        sim_run(true) == fwd,
+    );
     println!("\n(`identical` compares the full outcome structs — endpoints/tree,");
-    println!(" metrics, churn counters, and the recovery timeline — because churn");
-    println!(" verdicts are keyed on (seed, round, edge), not on arrival order)");
+    println!(" metrics, churn counters, and the recovery timeline — or, for the");
+    println!(" simulator row, metrics, the churn-event log, and every node's inbox");
+    println!(" digest: churn verdicts are keyed on (seed, round, edge), not on");
+    println!(" arrival or visit order)");
 }
 
 fn main() {
@@ -357,17 +370,18 @@ fn main() {
         churn_sweep(&mut report, 128, 32, &[0.05], &[1]);
         route_cells(&mut report, 6, &[0.05]);
         cut_cells(&mut report, 128);
-        threads_table(&mut report, 128, 32, &[1, 4]);
+        replay_table(&mut report, 128, 32);
     } else {
         churn_sweep(&mut report, 256, 128, &[0.02, 0.05, 0.10], &[0, 1, 2]);
         route_cells(&mut report, 8, &[0.02, 0.05, 0.10]);
         cut_cells(&mut report, 256);
-        threads_table(&mut report, 256, 128, &[1, 2, 4, 8]);
+        replay_table(&mut report, 256, 128);
     }
 
     println!("\nEvery cell passed its in-process check: walks finish, trees match");
     println!("Kruskal on the surviving graph minus permanent cuts, routable");
     println!("packets arrive, disconnection fails fast as `Partitioned`, and the");
-    println!("churned path replays byte-identically at every thread count.");
+    println!("churned path replays byte-identically under the same seed and");
+    println!("under a reversed visit order.");
     report.finish();
 }

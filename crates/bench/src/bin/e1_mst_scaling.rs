@@ -6,7 +6,7 @@
 //! tree is verified against Kruskal.
 
 use amt_bench::{expander, loglog_slope, paper_growth, scaled_levels, tau_estimate, Report};
-use amt_core::congest::{Distribution, PhaseTimings, ProfileConfig};
+use amt_core::congest::{Distribution, ProfileConfig};
 use amt_core::mst::{congest_boruvka, gkp};
 use amt_core::prelude::*;
 use rand::rngs::StdRng;
@@ -120,73 +120,6 @@ fn main() {
     println!("\n(paper: rounds scale linearly with τ_mix at fixed n — the amt/tau");
     println!(" column should stay within a constant factor across the three rows)");
 
-    println!("\n## Wall-clock vs simulator threads (Boruvka, largest config n = 256,");
-    println!("## plus a 6-regular n = 1024 stress instance)\n");
-    println!(
-        "hardware: {} core(s) available to this process\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-    report.header(&["n", "threads", "wall_ms", "speedup", "rounds", "identical"]);
-    // Two full timing sweeps: walls land in `PhaseTimings`, whose `Eq` is
-    // deliberately vacuous — the repeatability check below goes through the
-    // tolerance-based `close_to` instead.
-    let mut sweep = PhaseTimings::new();
-    let mut resweep = PhaseTimings::new();
-    for &n in &[256usize, 1024] {
-        let g = expander(n, 6, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
-        // Untimed warm-up: the very first run pays one-time costs (page
-        // faults, allocator growth) that would skew the repeatability
-        // comparison below.
-        congest_boruvka::run_with(&wg, 3, 1).expect("connected");
-        let mut baseline: Option<(f64, congest_boruvka::CongestMstOutcome)> = None;
-        for &threads in &[1usize, 2, 4, 8] {
-            let t0 = std::time::Instant::now();
-            let out = congest_boruvka::run_with(&wg, 3, threads).expect("connected");
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = std::time::Instant::now();
-            let out2 = congest_boruvka::run_with(&wg, 3, threads).expect("connected");
-            let ms2 = t1.elapsed().as_secs_f64() * 1e3;
-            assert!(
-                out2.tree_edges == out.tree_edges && out2.rounds == out.rounds,
-                "n = {n}: repeat run diverged at {threads} threads"
-            );
-            let label: &'static str = Box::leak(format!("n{n}_t{threads}").into_boxed_str());
-            sweep.record_nanos(label, (ms * 1e6) as u64);
-            resweep.record_nanos(label, (ms2 * 1e6) as u64);
-            let (speedup, identical) = match &baseline {
-                None => (1.0, true),
-                Some((base_ms, base_out)) => (
-                    base_ms / ms,
-                    out.tree_edges == base_out.tree_edges
-                        && out.rounds == base_out.rounds
-                        && out.messages == base_out.messages,
-                ),
-            };
-            report.row(&[
-                n.to_string(),
-                threads.to_string(),
-                format!("{ms:.1}"),
-                format!("{speedup:.2}x"),
-                out.rounds.to_string(),
-                identical.to_string(),
-            ]);
-            if baseline.is_none() {
-                baseline = Some((ms, out));
-            }
-        }
-    }
-    println!("\n(the `identical` column is the determinism contract: outcome and");
-    println!(" metrics are byte-identical for every thread count; speedup tracks");
-    println!(" the hardware parallelism actually available)");
-    println!(
-        "(wall repeatability: a second identical sweep agrees to within a\n\
-         10x factor on every cell: {} — compared via PhaseTimings::close_to,\n\
-         since `==` on wall timings is intentionally vacuous)",
-        sweep.close_to(&resweep, 0.9)
-    );
-
     round_distribution_table(&mut report);
     report.finish();
 }
@@ -199,7 +132,7 @@ fn round_distribution_table(report: &mut Report) {
     let g = expander(256, 6, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
-    let (_, profile) = congest_boruvka::run_instrumented(&wg, 3, 4, Some(ProfileConfig::default()))
+    let (_, profile) = congest_boruvka::run_instrumented(&wg, 3, Some(ProfileConfig::default()))
         .expect("connected");
     let profile = profile.expect("profiling on");
     report.section("round distributions");

@@ -115,7 +115,7 @@ fn main() {
     report.config("mst_family", "random 6-regular expander, seed 1");
 
     let (clean, clean_profile) =
-        congest_boruvka::run_instrumented(&wg, 3, 4, profile_cfg).expect("connected");
+        congest_boruvka::run_instrumented(&wg, 3, profile_cfg).expect("connected");
     let clean_profile = clean_profile.expect("profiling on");
 
     let plan = FaultPlan::none()
@@ -123,7 +123,7 @@ fn main() {
         .with_drops(0.05)
         .with_crash(NodeId(0), 10);
     let (healing, _, healing_profile) =
-        run_healing_instrumented(&wg, 3, plan, 4, None, profile_cfg).expect("connected survivors");
+        run_healing_instrumented(&wg, 3, plan, None, profile_cfg).expect("connected survivors");
     let healing_profile = healing_profile.expect("profiling on");
     assert_eq!(healing_profile.total_messages(), healing.metrics.messages);
     assert_eq!(healing_profile.total_bits(), healing.metrics.bits);
@@ -180,7 +180,7 @@ fn main() {
         .map(|i| (NodeId(i), NodeId((5 * i + 3) % hn as u32)))
         .collect();
     let (route, route_profile) =
-        route_bitfix_instrumented(&hg, &reqs, 12, 4, profile_cfg).expect("hypercube");
+        route_bitfix_instrumented(&hg, &reqs, 12, profile_cfg).expect("hypercube");
     let route_profile = route_profile.expect("profiling on");
     assert_eq!(route_profile.total_messages(), route.metrics.messages);
     report.config("route_n", hn);
@@ -216,7 +216,6 @@ fn main() {
         &specs,
         6,
         plan,
-        4,
         Some(TraceConfig::default()),
         profile_cfg,
     )

@@ -16,7 +16,7 @@
 //! in-memory values that never saw the encoder.
 
 use amt_congest::{
-    Metrics, PhaseTimings, RecoveryTimeline, RunTelemetry, RunTrace, ShardSplit, TrafficProfile,
+    Metrics, PhaseTimings, RecoveryTimeline, RunTelemetry, RunTrace, TrafficProfile,
 };
 use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -34,11 +34,8 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 ///   (`recovery.<name>.{spans,open,ttr_p50,ttr_p95,ttr_max}`) recorded
 ///   with [`Report::recovery`]; `metrics.<name>` additionally carries the
 ///   churn counters `lost_to_churn` and `restarts`.
-/// * **4** — adds the required `shards` section: per-placement intra/cross
-///   shard traffic attribution of a [`ShardSplit`]
-///   (`shards.<name>.{shards,intra_messages,cross_messages,intra_bits,
-///   cross_bits}` plus one nested `shards.<name>.<class>.{…}` object per
-///   traffic class) recorded with [`Report::shards`].
+/// * **4** — added a `shards` section (per-placement intra/cross shard
+///   traffic attribution), removed again in 6.
 /// * **5** — adds the required `telemetry` section: execution-health
 ///   counters of a [`RunTelemetry`]
 ///   (`telemetry.<name>.{rounds,nodes_stepped,messages_staged,
@@ -47,11 +44,14 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 ///   entries additionally carry `edge_load_stride` and, whenever snapshots
 ///   were recorded, a `final_snapshot_round` that must equal `rounds` (the
 ///   final-round-snapshot guarantee).
-pub const SCHEMA_VERSION: u64 = 5;
+/// * **6** — drops the `shards` section and the `config.threads` key along
+///   with the threaded executor they described.
+pub const SCHEMA_VERSION: u64 = 6;
 
-/// Oldest schema version [`validate`] still accepts; committed version-1
-/// artifacts stay valid (they simply predate the `profiles` section).
-pub const MIN_SCHEMA_VERSION: u64 = 1;
+/// Oldest schema version [`validate`] still accepts. The only committed
+/// artifact (`experiments_out/BENCH_baseline.json`) is version 6, so older
+/// documents are rejected rather than checked against retired shapes.
+pub const MIN_SCHEMA_VERSION: u64 = 6;
 
 /// A JSON value (object keys keep insertion order for stable diffs).
 #[derive(Clone, Debug, PartialEq)]
@@ -404,8 +404,8 @@ impl Parser<'_> {
 // ---------------------------------------------------------------------------
 
 /// Structurally validates a parsed report against the schema. Every version
-/// in [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`] is accepted; the
-/// `profiles` section is required (and checked) from version 2 on.
+/// in [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`] is accepted, and every
+/// section is required.
 ///
 /// # Errors
 ///
@@ -414,21 +414,18 @@ pub fn validate(root: &Json) -> Result<(), String> {
     let Json::Obj(_) = root else {
         return Err("root must be an object".to_string());
     };
-    let version = match root.get("schema_version") {
+    match root.get("schema_version") {
         Some(Json::Num(v))
             if *v >= MIN_SCHEMA_VERSION as f64
                 && *v <= SCHEMA_VERSION as f64
-                && *v == v.trunc() =>
-        {
-            *v as u64
-        }
+                && *v == v.trunc() => {}
         Some(other) => {
             return Err(format!(
                 "schema_version must be in {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}, got {other:?}"
             ))
         }
         None => return Err("missing schema_version".to_string()),
-    };
+    }
     match root.get("experiment") {
         Some(Json::Str(s)) if !s.is_empty() => {}
         _ => return Err("experiment must be a non-empty string".to_string()),
@@ -500,150 +497,104 @@ pub fn validate(root: &Json) -> Result<(), String> {
             }
         }
     }
-    if version >= 5 {
-        // Final-round-snapshot guarantee: a timeline that recorded strided
-        // snapshots must say which round closed the series, and it must be
-        // the run's final round.
-        if let Some(Json::Obj(timelines)) = root.get("timelines") {
-            for (name, entry) in timelines {
-                let snapshots = match entry.get("snapshots") {
-                    Some(Json::Num(v)) => *v,
-                    _ => 0.0,
-                };
-                if snapshots > 0.0 {
-                    match (entry.get("final_snapshot_round"), entry.get("rounds")) {
-                        (Some(Json::Num(last)), Some(Json::Num(rounds))) if last == rounds => {}
-                        (Some(Json::Num(last)), Some(Json::Num(rounds))) => {
-                            return Err(format!(
-                                "timelines.{name}: final snapshot at round {last} but the run \
-                                 ended at round {rounds}"
-                            ))
-                        }
-                        _ => {
-                            return Err(format!(
-                                "timelines.{name}: snapshots recorded but no \
-                                 final_snapshot_round (required from schema 5)"
-                            ))
-                        }
-                    }
-                }
-            }
-        }
-        let Some(Json::Obj(telemetry)) = root.get("telemetry") else {
-            return Err("telemetry must be an object (required from schema 5)".to_string());
-        };
-        for (name, entry) in telemetry {
-            let Json::Obj(fields) = entry else {
-                return Err(format!("telemetry.{name} must be an object"));
+    // Final-round-snapshot guarantee: a timeline that recorded strided
+    // snapshots must say which round closed the series, and it must be
+    // the run's final round.
+    if let Some(Json::Obj(timelines)) = root.get("timelines") {
+        for (name, entry) in timelines {
+            let snapshots = match entry.get("snapshots") {
+                Some(Json::Num(v)) => *v,
+                _ => 0.0,
             };
-            for key in [
-                "rounds",
-                "nodes_stepped",
-                "messages_staged",
-                "active_nodes_hwm",
-                "inbox_queued_hwm",
-                "staged_sends_hwm",
-                "wake_queue_hwm",
-                "arena_bytes_hwm",
-            ] {
-                match entry.get(key) {
-                    Some(Json::Num(v)) if *v >= 0.0 => {}
+            if snapshots > 0.0 {
+                match (entry.get("final_snapshot_round"), entry.get("rounds")) {
+                    (Some(Json::Num(last)), Some(Json::Num(rounds))) if last == rounds => {}
+                    (Some(Json::Num(last)), Some(Json::Num(rounds))) => {
+                        return Err(format!(
+                            "timelines.{name}: final snapshot at round {last} but the run \
+                             ended at round {rounds}"
+                        ))
+                    }
                     _ => {
                         return Err(format!(
-                            "telemetry.{name}.{key} must be a non-negative number"
+                            "timelines.{name}: snapshots recorded but no \
+                             final_snapshot_round"
                         ))
                     }
                 }
             }
+        }
+    }
+    let Some(Json::Obj(telemetry)) = root.get("telemetry") else {
+        return Err("telemetry must be an object".to_string());
+    };
+    for (name, entry) in telemetry {
+        let Json::Obj(fields) = entry else {
+            return Err(format!("telemetry.{name} must be an object"));
+        };
+        for key in [
+            "rounds",
+            "nodes_stepped",
+            "messages_staged",
+            "active_nodes_hwm",
+            "inbox_queued_hwm",
+            "staged_sends_hwm",
+            "wake_queue_hwm",
+            "arena_bytes_hwm",
+        ] {
+            match entry.get(key) {
+                Some(Json::Num(v)) if *v >= 0.0 => {}
+                _ => {
+                    return Err(format!(
+                        "telemetry.{name}.{key} must be a non-negative number"
+                    ))
+                }
+            }
+        }
+        for (k, v) in fields {
+            if !matches!(v, Json::Num(_)) {
+                return Err(format!("telemetry.{name}.{k} must be a number"));
+            }
+        }
+    }
+    let Some(Json::Obj(profiles)) = root.get("profiles") else {
+        return Err("profiles must be an object".to_string());
+    };
+    for (name, entry) in profiles {
+        let Json::Obj(classes) = entry else {
+            return Err(format!("profiles.{name} must be an object"));
+        };
+        for (class, totals) in classes {
+            let Json::Obj(fields) = totals else {
+                return Err(format!("profiles.{name}.{class} must be an object"));
+            };
             for (k, v) in fields {
                 if !matches!(v, Json::Num(_)) {
-                    return Err(format!("telemetry.{name}.{k} must be a number"));
+                    return Err(format!("profiles.{name}.{class}.{k} must be a number"));
                 }
             }
         }
     }
-    if version >= 2 {
-        let Some(Json::Obj(profiles)) = root.get("profiles") else {
-            return Err("profiles must be an object (required from schema 2)".to_string());
+    let Some(Json::Obj(recovery)) = root.get("recovery") else {
+        return Err("recovery must be an object".to_string());
+    };
+    for (name, entry) in recovery {
+        let Json::Obj(fields) = entry else {
+            return Err(format!("recovery.{name} must be an object"));
         };
-        for (name, entry) in profiles {
-            let Json::Obj(classes) = entry else {
-                return Err(format!("profiles.{name} must be an object"));
-            };
-            for (class, totals) in classes {
-                let Json::Obj(fields) = totals else {
-                    return Err(format!("profiles.{name}.{class} must be an object"));
-                };
-                for (k, v) in fields {
-                    if !matches!(v, Json::Num(_)) {
-                        return Err(format!("profiles.{name}.{class}.{k} must be a number"));
-                    }
+        for key in ["spans", "open", "ttr_p50", "ttr_p95", "ttr_max"] {
+            match entry.get(key) {
+                Some(Json::Num(v)) if *v >= 0.0 => {}
+                _ => {
+                    return Err(format!(
+                        "recovery.{name}.{key} must be a non-negative number"
+                    ))
                 }
             }
         }
-    }
-    if version >= 4 {
-        let Some(Json::Obj(shards)) = root.get("shards") else {
-            return Err("shards must be an object (required from schema 4)".to_string());
-        };
-        for (name, entry) in shards {
-            let Json::Obj(fields) = entry else {
-                return Err(format!("shards.{name} must be an object"));
-            };
-            for key in [
-                "shards",
-                "intra_messages",
-                "cross_messages",
-                "intra_bits",
-                "cross_bits",
-            ] {
-                match entry.get(key) {
-                    Some(Json::Num(v)) if *v >= 0.0 => {}
-                    _ => return Err(format!("shards.{name}.{key} must be a non-negative number")),
-                }
-            }
-            for (k, v) in fields {
-                match v {
-                    Json::Num(_) => {}
-                    // Per-traffic-class nested split.
-                    Json::Obj(inner) => {
-                        for (ik, iv) in inner {
-                            if !matches!(iv, Json::Num(_)) {
-                                return Err(format!("shards.{name}.{k}.{ik} must be a number"));
-                            }
-                        }
-                    }
-                    _ => {
-                        return Err(format!(
-                            "shards.{name}.{k} must be a number or per-class object"
-                        ))
-                    }
-                }
-            }
-        }
-    }
-    if version >= 3 {
-        let Some(Json::Obj(recovery)) = root.get("recovery") else {
-            return Err("recovery must be an object (required from schema 3)".to_string());
-        };
-        for (name, entry) in recovery {
-            let Json::Obj(fields) = entry else {
-                return Err(format!("recovery.{name} must be an object"));
-            };
-            for key in ["spans", "open", "ttr_p50", "ttr_p95", "ttr_max"] {
-                match entry.get(key) {
-                    Some(Json::Num(v)) if *v >= 0.0 => {}
-                    _ => {
-                        return Err(format!(
-                            "recovery.{name}.{key} must be a non-negative number"
-                        ))
-                    }
-                }
-            }
-            for (k, v) in fields {
-                if !matches!(v, Json::Num(_)) {
-                    return Err(format!("recovery.{name}.{k} must be a number"));
-                }
+        for (k, v) in fields {
+            if !matches!(v, Json::Num(_)) {
+                return Err(format!("recovery.{name}.{k} must be a number"));
             }
         }
     }
@@ -678,7 +629,6 @@ pub struct Report {
     timelines: Vec<(String, Json)>,
     profiles: Vec<(String, Json)>,
     recovery: Vec<(String, Json)>,
-    shards: Vec<(String, Json)>,
     telemetry: Vec<(String, Json)>,
 }
 
@@ -697,7 +647,6 @@ impl Report {
             timelines: Vec::new(),
             profiles: Vec::new(),
             recovery: Vec::new(),
-            shards: Vec::new(),
             telemetry: Vec::new(),
         }
     }
@@ -858,54 +807,19 @@ impl Report {
         ));
     }
 
-    /// Records a named [`ShardSplit`] — intra- vs cross-shard counters of a
-    /// recorded traffic profile under one node→shard placement, in total
-    /// and per traffic class (the `shards` section, schema version 4).
-    /// Counters only: derived ratios are for readers to compute, so the
-    /// regression gate compares exact integers.
-    pub fn shards(&mut self, name: &str, split: &ShardSplit) {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("shards".into(), split.shards.into()),
-            ("intra_messages".into(), split.intra_messages.into()),
-            ("cross_messages".into(), split.cross_messages.into()),
-            ("intra_bits".into(), split.intra_bits.into()),
-            ("cross_bits".into(), split.cross_bits.into()),
-        ];
-        for c in &split.per_class {
-            fields.push((
-                c.class.to_string(),
-                Json::Obj(vec![
-                    ("intra_messages".into(), c.intra_messages.into()),
-                    ("cross_messages".into(), c.cross_messages.into()),
-                    ("intra_bits".into(), c.intra_bits.into()),
-                    ("cross_bits".into(), c.cross_bits.into()),
-                ]),
-            ));
-        }
-        self.shards.push((name.to_string(), Json::Obj(fields)));
-    }
-
     /// Records a named [`RunTelemetry`] as execution-health counters (the
     /// `telemetry` section, schema version 5). Logical counters only — per
-    /// the telemetry contract they are thread-count- and
-    /// placement-invariant, so the regression gate compares exact integers
-    /// across worker counts. Per-shard wall-clock detail (straggler
-    /// attribution, imbalance) is host measurement and deliberately stays
-    /// out of the report; it lives in `sim_health` output, flight-recorder
-    /// dumps, and the NDJSON stream.
+    /// the telemetry contract they are visit-order-invariant, so the
+    /// regression gate compares exact integers. Step wall-times are host
+    /// measurement and deliberately stay out of the report; they live in
+    /// `sim_health` output, flight-recorder dumps, and the NDJSON stream.
     pub fn telemetry(&mut self, name: &str, t: &RunTelemetry) {
         self.telemetry.push((
             name.to_string(),
             Json::Obj(vec![
                 ("rounds".into(), t.rounds.into()),
-                (
-                    "nodes_stepped".into(),
-                    t.shard_nodes_stepped.iter().sum::<u64>().into(),
-                ),
-                (
-                    "messages_staged".into(),
-                    t.shard_messages_staged.iter().sum::<u64>().into(),
-                ),
+                ("nodes_stepped".into(), t.nodes_stepped.into()),
+                ("messages_staged".into(), t.messages_staged.into()),
                 ("active_nodes_hwm".into(), t.hwm.active_nodes.into()),
                 ("inbox_queued_hwm".into(), t.hwm.inbox_queued.into()),
                 ("staged_sends_hwm".into(), t.hwm.staged_sends.into()),
@@ -967,7 +881,6 @@ impl Report {
             ("timelines".into(), Json::Obj(self.timelines.clone())),
             ("profiles".into(), Json::Obj(self.profiles.clone())),
             ("recovery".into(), Json::Obj(self.recovery.clone())),
-            ("shards".into(), Json::Obj(self.shards.clone())),
             ("telemetry".into(), Json::Obj(self.telemetry.clone())),
         ])
     }
@@ -1067,14 +980,12 @@ mod tests {
             edge_bits: vec![20, 10],
         });
         r.profile("run", &tp);
-        r.shards("run", &tp.shard_split(2, &[true, false]));
         let mut tl = RecoveryTimeline::new();
         tl.record_damage(3);
         tl.record_recovery(10);
         tl.record_damage(20);
         r.recovery("run", &tl);
         let telemetry = RunTelemetry {
-            shards: 2,
             rounds: 10,
             hwm: amt_congest::GaugeHighWater {
                 active_nodes: 64,
@@ -1083,8 +994,8 @@ mod tests {
                 wake_queue: 4,
                 arena_bytes: 4096,
             },
-            shard_nodes_stepped: vec![30, 34],
-            shard_messages_staged: vec![17, 23],
+            nodes_stepped: 64,
+            messages_staged: 40,
             ..RunTelemetry::default()
         };
         r.telemetry("run", &telemetry);
@@ -1123,17 +1034,6 @@ mod tests {
         assert_eq!(rec.get("spans"), Some(&Json::Num(1.0)));
         assert_eq!(rec.get("open"), Some(&Json::Num(1.0)));
         assert_eq!(rec.get("ttr_max"), Some(&Json::Num(7.0)));
-        let sh = parsed
-            .get("shards")
-            .and_then(|s| s.get("run"))
-            .expect("shards section survives the round trip");
-        assert_eq!(sh.get("shards"), Some(&Json::Num(2.0)));
-        assert_eq!(sh.get("cross_messages"), Some(&Json::Num(2.0)));
-        assert_eq!(sh.get("intra_messages"), Some(&Json::Num(1.0)));
-        let class = sh
-            .get("walk/token")
-            .expect("per-class split survives the round trip");
-        assert_eq!(class.get("cross_bits"), Some(&Json::Num(20.0)));
         let tel = parsed
             .get("telemetry")
             .and_then(|t| t.get("run"))
@@ -1150,32 +1050,39 @@ mod tests {
     }
 
     #[test]
-    fn validator_is_version_aware_about_profiles() {
+    fn validator_accepts_only_the_current_schema() {
         let good = sample_report().to_json();
         let Json::Obj(pairs) = &good else {
             unreachable!()
         };
-
-        // A version-1 document legitimately has no profiles section.
-        let mut v1: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| {
-                k != "profiles" && k != "recovery" && k != "shards" && k != "telemetry"
-            })
-            .cloned()
-            .collect();
-        v1[0].1 = Json::Num(1.0);
-        validate(&Json::Obj(v1.clone())).expect("v1 without profiles is valid");
-
-        // The same document claiming version 2 must carry the section.
-        let mut v2_missing = v1;
-        v2_missing[0].1 = Json::Num(2.0);
-        assert!(validate(&Json::Obj(v2_missing)).is_err());
-
+        // Retired versions are rejected: their shapes are no longer checked.
+        let mut old = pairs.clone();
+        old[0].1 = Json::Num((MIN_SCHEMA_VERSION - 1) as f64);
+        assert!(validate(&Json::Obj(old)).is_err());
         // Future versions are rejected until the validator learns them.
         let mut future = pairs.clone();
         future[0].1 = Json::Num((SCHEMA_VERSION + 1) as f64);
         assert!(validate(&Json::Obj(future)).is_err());
+    }
+
+    /// `pairs` with one top-level section removed.
+    fn without(pairs: &[(String, Json)], section: &str) -> Json {
+        Json::Obj(
+            pairs
+                .iter()
+                .filter(|(k, _)| k != section)
+                .cloned()
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn validator_checks_profiles() {
+        let good = sample_report().to_json();
+        let Json::Obj(pairs) = &good else {
+            unreachable!()
+        };
+        assert!(validate(&without(pairs, "profiles")).is_err());
 
         // A malformed class entry is caught.
         let mut bad = pairs.clone();
@@ -1191,25 +1098,12 @@ mod tests {
     }
 
     #[test]
-    fn validator_is_version_aware_about_recovery() {
+    fn validator_checks_recovery() {
         let good = sample_report().to_json();
         let Json::Obj(pairs) = &good else {
             unreachable!()
         };
-
-        // A version-2 document legitimately has no recovery section.
-        let mut v2: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| k != "recovery")
-            .cloned()
-            .collect();
-        v2[0].1 = Json::Num(2.0);
-        validate(&Json::Obj(v2.clone())).expect("v2 without recovery is valid");
-
-        // The same document claiming version 3 must carry the section.
-        let mut v3_missing = v2;
-        v3_missing[0].1 = Json::Num(3.0);
-        assert!(validate(&Json::Obj(v3_missing)).is_err());
+        assert!(validate(&without(pairs, "recovery")).is_err());
 
         // A recovery entry missing a required percentile is caught.
         let mut bad = pairs.clone();
@@ -1225,81 +1119,12 @@ mod tests {
     }
 
     #[test]
-    fn validator_is_version_aware_about_shards() {
+    fn validator_checks_telemetry() {
         let good = sample_report().to_json();
         let Json::Obj(pairs) = &good else {
             unreachable!()
         };
-
-        // A version-3 document legitimately has no shards section.
-        let mut v3: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| k != "shards")
-            .cloned()
-            .collect();
-        v3[0].1 = Json::Num(3.0);
-        validate(&Json::Obj(v3.clone())).expect("v3 without shards is valid");
-
-        // The same document claiming version 4 must carry the section.
-        let mut v4_missing = v3;
-        v4_missing[0].1 = Json::Num(4.0);
-        assert!(validate(&Json::Obj(v4_missing)).is_err());
-
-        // A shards entry missing a required counter is caught.
-        let mut bad = pairs.clone();
-        for (k, v) in &mut bad {
-            if k == "shards" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![("shards".into(), 4u64.into())]),
-                )]);
-            }
-        }
-        assert!(validate(&Json::Obj(bad)).is_err());
-
-        // A malformed per-class entry is caught.
-        let mut bad_class = pairs.clone();
-        for (k, v) in &mut bad_class {
-            if k == "shards" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![
-                        ("shards".into(), 2u64.into()),
-                        ("intra_messages".into(), 1u64.into()),
-                        ("cross_messages".into(), 2u64.into()),
-                        ("intra_bits".into(), 10u64.into()),
-                        ("cross_bits".into(), 20u64.into()),
-                        (
-                            "walk/token".into(),
-                            Json::Obj(vec![("cross_messages".into(), "lots".into())]),
-                        ),
-                    ]),
-                )]);
-            }
-        }
-        assert!(validate(&Json::Obj(bad_class)).is_err());
-    }
-
-    #[test]
-    fn validator_is_version_aware_about_telemetry() {
-        let good = sample_report().to_json();
-        let Json::Obj(pairs) = &good else {
-            unreachable!()
-        };
-
-        // A version-4 document legitimately has no telemetry section.
-        let mut v4: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| k != "telemetry")
-            .cloned()
-            .collect();
-        v4[0].1 = Json::Num(4.0);
-        validate(&Json::Obj(v4.clone())).expect("v4 without telemetry is valid");
-
-        // The same document claiming version 5 must carry the section.
-        let mut v5_missing = v4;
-        v5_missing[0].1 = Json::Num(5.0);
-        assert!(validate(&Json::Obj(v5_missing)).is_err());
+        assert!(validate(&without(pairs, "telemetry")).is_err());
 
         // A telemetry entry missing a required gauge is caught.
         let mut bad = pairs.clone();
@@ -1315,14 +1140,14 @@ mod tests {
     }
 
     #[test]
-    fn validator_enforces_final_snapshot_round_from_v5() {
+    fn validator_enforces_final_snapshot_round() {
         let good = sample_report().to_json();
         let Json::Obj(pairs) = &good else {
             unreachable!()
         };
 
         // A snapshotted timeline whose last snapshot is not the final round
-        // violates the PR 5 guarantee — rejected at schema 5...
+        // violates the final-round-snapshot guarantee...
         let mut torn = pairs.clone();
         for (k, v) in &mut torn {
             if k == "timelines" {
@@ -1336,7 +1161,7 @@ mod tests {
                 )]);
             }
         }
-        assert!(validate(&Json::Obj(torn.clone())).is_err());
+        assert!(validate(&Json::Obj(torn)).is_err());
 
         // ...as is one that recorded snapshots but never said where the
         // series ended.
@@ -1353,13 +1178,6 @@ mod tests {
             }
         }
         assert!(validate(&Json::Obj(silent)).is_err());
-
-        // Pre-5 artifacts predate the key; the same shape claiming v4 is
-        // untouched by the check.
-        let mut v4 = torn;
-        v4[0].1 = Json::Num(4.0);
-        let v4: Vec<_> = v4.into_iter().filter(|(k, _)| k != "telemetry").collect();
-        validate(&Json::Obj(v4)).expect("v4 is exempt from the snapshot check");
     }
 
     #[test]

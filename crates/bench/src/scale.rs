@@ -3,9 +3,8 @@
 //!
 //! A `SPARSE_AWARE` mix of mail-driven random token forwarding (class
 //! `scale/token`) and timer-driven beacon bursts (class `scale/beacon`).
-//! Only a fraction of nodes is active in any round, so the threaded
-//! stepper's placement decides how much of the traffic crosses shard
-//! boundaries without changing a single observable bit.
+//! Only a fraction of nodes is active in any round, which is the shape the
+//! active-set engine is built for.
 
 use amt_core::congest::{Ctx, Protocol, TrafficClass};
 use amt_core::prelude::*;
@@ -17,7 +16,7 @@ pub struct ScaleNode {
     beacons_left: u32,
     next_fire: u64,
     /// Order-sensitive digest of everything this node received — the
-    /// cheapest observable that catches any cross-thread reordering.
+    /// cheapest observable that catches any delivery reordering.
     pub digest: u64,
 }
 
@@ -92,11 +91,9 @@ pub fn scale_fleet(n: usize) -> Vec<ScaleNode> {
         .collect()
 }
 
-/// The dumbbell generator lays its two expander halves out contiguously
-/// (ids `0..k` and `k..2k`), which a contiguous placement splits for free.
-/// Interleaving the ids (`v < k → 2v`, else `2(v−k)+1`) makes contiguous
-/// sharding the worst case while a spectral placement can still recover
-/// the halves — the shape the scaling tier's acceptance assert is about.
+/// A dumbbell of two expander halves whose ids are interleaved
+/// (`v < k → 2v`, else `2(v−k)+1`) instead of laid out as `0..k` and
+/// `k..2k`, so neither half is a contiguous id range.
 pub fn interleaved_dumbbell(k: usize, d: usize, bridges: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = generators::dumbbell_expanders(k, d, bridges, &mut rng).expect("valid dumbbell");

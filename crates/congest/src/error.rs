@@ -69,12 +69,6 @@ pub enum CongestError {
         /// Human-readable description of the offending field.
         reason: String,
     },
-    /// A node→shard placement attached via `Simulator::with_placement`
-    /// failed validation against the run's graph or worker count.
-    PlacementInvalid {
-        /// Human-readable description of the mismatch.
-        reason: String,
-    },
     /// Sustained damage (crashes plus permanent edge cuts) disconnected the
     /// surviving graph; the protocol terminated gracefully instead of
     /// retrying toward an unreachable component until the round cap.
@@ -132,9 +126,6 @@ impl fmt::Display for CongestError {
             CongestError::FaultPlanInvalid { reason } => {
                 write!(f, "invalid fault plan: {reason}")
             }
-            CongestError::PlacementInvalid { reason } => {
-                write!(f, "invalid placement: {reason}")
-            }
             CongestError::Partitioned { components, round } => {
                 write!(
                     f,
@@ -179,15 +170,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("8 attempts") && s.contains("round 30") && s.contains("seed 7"));
-    }
-
-    #[test]
-    fn placement_error_names_the_mismatch() {
-        let e = CongestError::PlacementInvalid {
-            reason: "placement has 4 shards, run resolved 2 workers".to_string(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("invalid placement") && s.contains("4 shards"));
     }
 
     #[test]

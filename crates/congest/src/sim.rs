@@ -11,8 +11,8 @@
 //!   made before — never on the order in which the executor happens to
 //!   visit nodes within a round.
 //! * **Ordered merge.** Messages staged in a round are delivered into the
-//!   next round's inboxes in `(sender id, port)` order, whatever order (or
-//!   thread) executed the senders.
+//!   next round's inboxes in `(sender id, port)` order, whatever order the
+//!   senders were visited in.
 //! * **Message-identity fault keying.** Fault verdicts are a counter-based
 //!   PRF of `(fault seed, round, sender, sender port)` — see
 //!   [`crate::faults`] — so which messages drop, corrupt, or delay is
@@ -26,22 +26,14 @@
 //!   reference ([`RunConfig::full_sweep`]) produce byte-identical results
 //!   for [`Protocol::SPARSE_AWARE`] protocols; the only observable that
 //!   names the strategy is the `active_nodes` trace gauge.
-//! * **Placement independence.** The threaded executor assigns nodes to
-//!   worker shards through an explicit [`Placement`] map (contiguous id
-//!   chunks by default, spectral cuts via [`Simulator::with_placement`]).
-//!   The coordinator splices worker outputs back in canonical ascending
-//!   *node* order — never worker order — so the placement changes only
-//!   wall-clock and cross-worker traffic, never an observable bit.
 //!
 //! Together these make protocol outputs, [`Metrics`], the fault-event log,
-//! and the churn-event log byte-identical for any visit order and any
-//! worker-thread count, which is what lets [`RunConfig::threads`]
-//! parallelize the clean, faulty, *and* churned paths without changing a
-//! single observable bit. There is exactly one round-loop engine
+//! and the churn-event log byte-identical for any visit order
+//! ([`Simulator::run_reverse_visit`] is the test hook that reverses it)
+//! and either engine strategy. There is exactly one round-loop engine
 //! ([`round_engine`]); the clean/faulty split is a [`FaultHook`] type
-//! parameter (the inert hook compiles to the pristine executor), the
-//! static/churned split is an independent [`ChurnHook`] type parameter,
-//! and the sequential/threaded split is a [`RoundStepper`] type parameter.
+//! parameter (the inert hook compiles to the pristine executor) and the
+//! static/churned split is an independent [`ChurnHook`] type parameter.
 //!
 //! # Data layout
 //!
@@ -56,18 +48,14 @@
 use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, NoChurn};
 use crate::faults::{Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults};
 use crate::profile::{class, ProfileConfig, TrafficClass, TrafficProfile};
-use crate::telemetry::{
-    RoundHealth, RunTelemetry, ShardRoundSample, TelemetryConfig, TelemetryState,
-};
+use crate::telemetry::{RoundHealth, RunTelemetry, TelemetryConfig, TelemetryState};
 use crate::trace::{EdgeLoadSnapshot, RoundSample, RunTrace, TraceConfig, TraceEvent};
 use crate::{bits_for_count, CongestError, CongestMessage, Metrics, Result};
-use amt_graphs::partitioning::Placement;
 use amt_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A per-node state machine executed by the [`Simulator`].
 ///
@@ -75,10 +63,7 @@ use std::sync::OnceLock;
 /// [`Protocol::init`]; on every subsequent round it calls
 /// [`Protocol::round`] with the messages delivered this round (sent by
 /// neighbors in the previous round), tagged with the receiving port.
-///
-/// Protocols are `Send` so the multi-threaded executor can shard node state
-/// machines across workers; protocols made of plain data get this for free.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// The message type this protocol sends over edges.
     type Message: CongestMessage;
 
@@ -160,12 +145,6 @@ pub struct RunConfig {
     pub budget_factor: usize,
     /// Termination rule.
     pub stop: StopCondition,
-    /// Worker threads for the executor, clean and faulty paths alike. `0`
-    /// (the default) resolves to the `AMT_SIM_THREADS` environment variable
-    /// if set, else to the machine's available parallelism; `1` is the
-    /// classic single-threaded loop. Results are byte-identical for every
-    /// value — see the module-level determinism contract.
-    pub threads: usize,
     /// Forces the classic full-sweep executor: every live node steps every
     /// round, even for [`Protocol::SPARSE_AWARE`] protocols. The default
     /// (`false`) lets sparse-aware protocols run on the active-set engine,
@@ -184,7 +163,6 @@ impl Default for RunConfig {
             max_rounds: 1_000_000,
             budget_factor: 8,
             stop: StopCondition::Quiescence,
-            threads: 0,
             full_sweep: false,
         }
     }
@@ -199,76 +177,12 @@ impl RunConfig {
         }
     }
 
-    /// Sets the executor worker-thread count (`0` = auto).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Forces (or releases) the full-sweep reference executor; see
     /// [`RunConfig::full_sweep`].
     pub fn with_full_sweep(mut self, full_sweep: bool) -> Self {
         self.full_sweep = full_sweep;
         self
     }
-
-    /// Resolves [`RunConfig::threads`] against the node count: `0` becomes
-    /// the process default, and no more than one worker per node is used.
-    fn effective_threads(&self, n: usize) -> usize {
-        let requested = if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
-        };
-        requested.clamp(1, n.max(1))
-    }
-}
-
-/// Parses an `AMT_SIM_THREADS` value: a positive integer, surrounding
-/// whitespace allowed. `0` and non-numeric values are rejected with a
-/// message naming the variable — silently falling back to hardware
-/// parallelism would hide a typo (`AMT_SIM_THREADS=four`) behind an
-/// unrelated thread count.
-fn parse_thread_env(raw: &str) -> std::result::Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(format!(
-            "AMT_SIM_THREADS must be a positive integer (0 is reserved for \
-             RunConfig::threads, where it means \"auto\"); got {raw:?}"
-        )),
-        Ok(v) => Ok(v),
-        Err(_) => Err(format!(
-            "AMT_SIM_THREADS must be a positive integer, got {raw:?}"
-        )),
-    }
-}
-
-/// Process-wide default worker count: `AMT_SIM_THREADS` if set to a
-/// positive integer, else the available hardware parallelism.
-///
-/// # Panics
-///
-/// Panics on a malformed `AMT_SIM_THREADS` (non-numeric or `0`) instead of
-/// silently ignoring it — the variable exists precisely to pin the
-/// executor, so a typo must not fall through to hardware parallelism.
-///
-/// Note the `OnceLock` caching pitfall: the environment variable is read
-/// **once**, on the first auto-resolved run in the process, and the result
-/// (or the panic-worthy malformation) is cached for the process lifetime.
-/// Changing `AMT_SIM_THREADS` after that first use has no effect; tests
-/// that need a specific worker count should set [`RunConfig::threads`]
-/// explicitly rather than mutate the environment.
-fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(raw) = std::env::var("AMT_SIM_THREADS") {
-            match parse_thread_env(&raw) {
-                Ok(v) => v,
-                Err(msg) => panic!("{msg}"),
-            }
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
-    })
 }
 
 /// SplitMix64-style finalizer deriving one node's stream seed from the run
@@ -441,7 +355,7 @@ impl<M: CongestMessage> Ctx<'_, M> {
     ///
     /// The stream is seeded from `(run seed, node id)` at simulator
     /// construction, so the values drawn here are independent of the order
-    /// in which the executor visits nodes (and of the thread count).
+    /// in which the executor visits nodes.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
@@ -451,7 +365,7 @@ impl<M: CongestMessage> Ctx<'_, M> {
     /// A no-op (one branch) unless tracing was enabled with
     /// [`Simulator::with_trace`]; emitting events must therefore never be
     /// the protocol's only side effect. Events are recorded in
-    /// `(round, node)` order independently of the worker-thread count.
+    /// `(round, node)` order.
     pub fn trace_event(&mut self, label: &'static str, value: u64) {
         if let Some(events) = self.trace.as_mut() {
             events.push(TraceEvent {
@@ -533,9 +447,9 @@ impl Csr {
         self.peer_port[self.adj_off[v] as usize + port]
     }
 
-    /// Maximum degree over the node range `[lo, hi)`.
-    fn max_degree(&self, lo: usize, hi: usize) -> usize {
-        (lo..hi).map(|v| self.degree(v)).max().unwrap_or(0)
+    /// Maximum degree over all nodes.
+    fn max_degree(&self) -> usize {
+        (0..self.n()).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 }
 
@@ -844,43 +758,14 @@ impl<M> Scratch<M> {
     }
 }
 
-/// What one [`RoundStepper::step`] observed.
-struct StepOutcome {
-    /// Lowest-node CONGEST violation of the round, if any.
-    violation: Option<CongestError>,
-    /// A worker disappeared mid-run (it panicked); the caller joins the
-    /// workers and propagates the panic.
-    aborted: bool,
-}
-
-/// Executes the protocol step of one round for the given active nodes:
-/// pairs each active node with its inbox group (two-pointer merge against
-/// the arena's ascending receiver list), runs `init`/`round`/`on_restart`,
-/// and appends staged sends / done flags / wake requests to `out` in
-/// ascending node order. The two implementations — in-place sequential and
-/// sharded threaded — are interchangeable under the determinism contract;
-/// everything else about a round lives in [`round_engine`].
-///
-/// `shards` is the telemetry sample sink: `None` (telemetry off) costs one
-/// branch; when `Some`, the stepper appends one [`ShardRoundSample`] per
-/// executor shard (a single shard 0 for the sequential stepper) with the
-/// shard's step wall-time and work counters.
-trait RoundStepper<M> {
-    fn step(
-        &mut self,
-        round: u64,
-        active: &[u32],
-        inbox: &InboxArena<M>,
-        out: &mut StepOut<M>,
-        events: Option<&mut Vec<TraceEvent>>,
-        shards: Option<&mut Vec<ShardRoundSample>>,
-    ) -> StepOutcome;
-}
-
-/// The sequential stepper: owns borrowed views of the node state machines
-/// and RNG streams, steps the round's active nodes in place (ascending id;
-/// descending behind the `reverse` test hook), and appends to the engine's
-/// [`StepOut`].
+/// The stepper: owns borrowed views of the node state machines and RNG
+/// streams and executes the protocol step of one round for the given active
+/// nodes — pairs each active node with its inbox group (two-pointer merge
+/// against the arena's ascending receiver list), runs
+/// `init`/`round`/`on_restart`, and appends staged sends / done flags / wake
+/// requests to the engine's [`StepOut`] in ascending node order (stepping
+/// descending behind the `reverse` test hook, then canonicalizing).
+/// Everything else about a round lives in [`round_engine`].
 struct InlineStepper<'a, P: Protocol> {
     nodes: &'a mut [P],
     rngs: &'a mut [StdRng],
@@ -951,9 +836,9 @@ impl<P: Protocol> InlineStepper<'_, P> {
         }
         out.stepped += 1;
     }
-}
 
-impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
+    /// Steps the round's active nodes; returns the lowest-node CONGEST
+    /// violation of the round, if any.
     fn step(
         &mut self,
         round: u64,
@@ -961,11 +846,7 @@ impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
         inbox: &InboxArena<P::Message>,
         out: &mut StepOut<P::Message>,
         mut events: Option<&mut Vec<TraceEvent>>,
-        shards: Option<&mut Vec<ShardRoundSample>>,
-    ) -> StepOutcome {
-        // Wall-clock only ticks when telemetry asked for samples; the off
-        // path is byte-identical (one branch).
-        let step_start = shards.as_ref().map(|_| std::time::Instant::now());
+    ) -> Option<CongestError> {
         let mut violation: Option<CongestError> = None;
         if !self.reverse {
             let mut ri = 0usize;
@@ -1030,251 +911,7 @@ impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
             debug_assert_eq!(ri, 0, "every inbox group had an active receiver");
             out.canonicalize_reversed();
         }
-        if let Some(samples) = shards {
-            samples.push(ShardRoundSample {
-                shard: 0,
-                wall_nanos: step_start.map_or(0, |t| {
-                    t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-                }),
-                nodes_stepped: out.stepped,
-                messages_staged: out.slab.len() as u64,
-            });
-        }
-        StepOutcome {
-            violation,
-            aborted: false,
-        }
-    }
-}
-
-/// One round's work order for a sharded worker: the shard's slice of the
-/// active list and inbox arena, plus the output buffers the worker fills.
-/// Jobs shuttle between coordinator and worker and are recycled round over
-/// round, so the per-round cost is copying the shard's slices, not
-/// allocation.
-struct RoundJob<M> {
-    round: u64,
-    active: Vec<u32>,
-    inbox_index: Vec<(u32, u32)>,
-    inbox_slab: Vec<(usize, M)>,
-    out: StepOut<M>,
-    events: Vec<TraceEvent>,
-    /// Wall-clock nanoseconds the worker spent stepping this job's nodes,
-    /// stamped only when telemetry is on (0 otherwise). Host observability
-    /// metadata — never feeds an observable.
-    wall_nanos: u64,
-}
-
-impl<M> Default for RoundJob<M> {
-    fn default() -> Self {
-        RoundJob {
-            round: 0,
-            active: Vec::new(),
-            inbox_index: Vec::new(),
-            inbox_slab: Vec::new(),
-            out: StepOut::default(),
-            events: Vec::new(),
-            wall_nanos: 0,
-        }
-    }
-}
-
-/// A worker's completed round, handing the recycled job back.
-struct RoundReply<M> {
-    worker: usize,
-    job: RoundJob<M>,
-    /// Lowest-node violation of the shard, tagged with the node.
-    violation: Option<(u32, CongestError)>,
-}
-
-/// The multi-threaded stepper: nodes are assigned to worker shards by an
-/// explicit [`Placement`] map (contiguous chunks by default, spectral
-/// k-way cuts via [`Simulator::with_placement`]), one persistent worker
-/// per shard inside a [`std::thread::scope`]; each round the coordinator
-/// routes the active list and inbox arena through the node→shard map,
-/// ships the per-shard jobs out, and splices the workers' [`StepOut`]s
-/// back in **canonical ascending-node order** — by concatenation when the
-/// placement is id-monotone (every shard a contiguous id range), and by a
-/// cursor merge over the shard streams otherwise. Either way the stream
-/// handed to the engine's ordered merge is byte-identical to the
-/// sequential visit's. The worker side lives in
-/// [`Simulator::run_parallel`]; this type is the coordinator half.
-struct ThreadedStepper<'p, M> {
-    job_txs: Vec<mpsc::Sender<RoundJob<M>>>,
-    reply_rx: mpsc::Receiver<RoundReply<M>>,
-    /// Node id → owning worker shard.
-    shard_of: &'p [u32],
-    /// Shard ids nondecreasing in node id: splice-back may concatenate.
-    monotone: bool,
-    /// Recycled jobs, indexed by worker, parked here between rounds.
-    stash: Vec<Option<RoundJob<M>>>,
-}
-
-impl<M: CongestMessage> RoundStepper<M> for ThreadedStepper<'_, M> {
-    fn step(
-        &mut self,
-        round: u64,
-        active: &[u32],
-        inbox: &InboxArena<M>,
-        out: &mut StepOut<M>,
-        mut events: Option<&mut Vec<TraceEvent>>,
-        shards: Option<&mut Vec<ShardRoundSample>>,
-    ) -> StepOutcome {
-        let workers = self.job_txs.len();
-        let mut jobs: Vec<RoundJob<M>> = self
-            .stash
-            .iter_mut()
-            .map(|slot| {
-                let mut job = slot.take().unwrap_or_default();
-                job.round = round;
-                job.active.clear();
-                job.inbox_index.clear();
-                job.inbox_slab.clear();
-                job
-            })
-            .collect();
-        // Route the ascending active list and inbox groups through the
-        // shard map; within each shard both stay ascending by node.
-        for &v in active {
-            jobs[self.shard_of[v as usize] as usize].active.push(v);
-        }
-        for (i, &vu) in inbox.nodes.iter().enumerate() {
-            let job = &mut jobs[self.shard_of[vu as usize] as usize];
-            let s = inbox.offsets[i] as usize;
-            let e = inbox.offsets[i + 1] as usize;
-            job.inbox_index.push((vu, (e - s) as u32));
-            job.inbox_slab.extend_from_slice(&inbox.slab[s..e]);
-        }
-        let mut sent = 0usize;
-        for (w, job) in jobs.into_iter().enumerate() {
-            // A send can only fail if the worker panicked; the recv below
-            // notices and the caller joins to propagate the panic.
-            if self.job_txs[w].send(job).is_ok() {
-                sent += 1;
-            }
-        }
-        let aborted = StepOutcome {
-            violation: None,
-            aborted: true,
-        };
-        if sent < workers {
-            return aborted;
-        }
-        let mut violation: Option<(u32, CongestError)> = None;
-        for _ in 0..workers {
-            let Ok(reply) = self.reply_rx.recv() else {
-                return aborted;
-            };
-            if let Some((v, err)) = reply.violation {
-                // The deterministic error is the lowest-node one, exactly
-                // what the sequential visit would hit first.
-                if violation.as_ref().is_none_or(|&(best, _)| v < best) {
-                    violation = Some((v, err));
-                }
-            }
-            self.stash[reply.worker] = Some(reply.job);
-        }
-        // Telemetry samples must be drawn *before* the splice-back below:
-        // the monotone concat zeroes `stepped` and drains the slabs.
-        if let Some(samples) = shards {
-            for (w, slot) in self.stash.iter().enumerate() {
-                let job = slot.as_ref().expect("every worker replied");
-                samples.push(ShardRoundSample {
-                    shard: w as u32,
-                    wall_nanos: job.wall_nanos,
-                    nodes_stepped: job.out.stepped,
-                    messages_staged: job.out.slab.len() as u64,
-                });
-            }
-        }
-        if self.monotone {
-            // Worker order IS ascending node order: concatenate.
-            for slot in &mut self.stash {
-                let job = slot.as_mut().expect("every worker replied");
-                out.slab.append(&mut job.out.slab);
-                out.index.append(&mut job.out.index);
-                out.done.append(&mut job.out.done);
-                out.wakes.append(&mut job.out.wakes);
-                out.stepped += job.out.stepped;
-                job.out.stepped = 0;
-                if let Some(ev) = events.as_mut() {
-                    ev.append(&mut job.events);
-                }
-            }
-        } else {
-            self.merge_by_node(active, out, events);
-        }
-        StepOutcome {
-            violation: violation.map(|(_, err)| err),
-            aborted: false,
-        }
-    }
-}
-
-impl<M: CongestMessage> ThreadedStepper<'_, M> {
-    /// Splices the shard [`StepOut`] streams back in ascending node order
-    /// for a non-monotone placement: walk the global active list and
-    /// consume each shard's streams through per-worker cursors. Every
-    /// stream is ascending by node within its shard, and a node appears in
-    /// its shard's `done` stream iff the worker stepped it, so the merged
-    /// result is exactly the sequential visit's.
-    fn merge_by_node(
-        &mut self,
-        active: &[u32],
-        out: &mut StepOut<M>,
-        mut events: Option<&mut Vec<TraceEvent>>,
-    ) {
-        let workers = self.job_txs.len();
-        let mut jobs: Vec<&mut RoundJob<M>> = self
-            .stash
-            .iter_mut()
-            .map(|slot| slot.as_mut().expect("every worker replied"))
-            .collect();
-        let mut done_at = vec![0usize; workers];
-        let mut index_at = vec![0usize; workers];
-        let mut slab_at = vec![0usize; workers];
-        let mut wake_at = vec![0usize; workers];
-        let mut event_at = vec![0usize; workers];
-        for &v in active {
-            let w = self.shard_of[v as usize] as usize;
-            let job = &mut jobs[w];
-            if job.out.done.get(done_at[w]).is_some_and(|&(u, _)| u == v) {
-                out.done.push(job.out.done[done_at[w]]);
-                done_at[w] += 1;
-                out.stepped += 1;
-                if job.out.index.get(index_at[w]).is_some_and(|&(u, _)| u == v) {
-                    let (_, len) = job.out.index[index_at[w]];
-                    index_at[w] += 1;
-                    out.index.push((v, len));
-                    let s = slab_at[w];
-                    out.slab
-                        .extend_from_slice(&job.out.slab[s..s + len as usize]);
-                    slab_at[w] += len as usize;
-                }
-                if job.out.wakes.get(wake_at[w]).is_some_and(|&(u, _)| u == v) {
-                    out.wakes.push(job.out.wakes[wake_at[w]]);
-                    wake_at[w] += 1;
-                }
-            }
-            if let Some(ev) = events.as_mut() {
-                while job
-                    .events
-                    .get(event_at[w])
-                    .is_some_and(|e| e.node.index() as u32 == v)
-                {
-                    ev.push(job.events[event_at[w]]);
-                    event_at[w] += 1;
-                }
-            }
-        }
-        for (w, job) in jobs.into_iter().enumerate() {
-            debug_assert_eq!(done_at[w], job.out.done.len());
-            debug_assert_eq!(slab_at[w], job.out.slab.len());
-            debug_assert_eq!(event_at[w], job.events.len());
-            job.out.stepped = 0;
-            job.out.clear();
-            job.events.clear();
-        }
+        violation
     }
 }
 
@@ -1314,12 +951,12 @@ struct Wakeups {
 /// `messages`/`bits` count *deliveries*, so dropped/lost traffic never
 /// inflates the totals (documented on [`Metrics`]).
 #[allow(clippy::too_many_arguments)]
-fn round_engine<M, S, H, C>(
+fn round_engine<P, H, C>(
     cfg: &RunConfig,
     csr: &Csr,
     edge_load: &mut [u64],
-    scratch: &mut Scratch<M>,
-    stepper: &mut S,
+    scratch: &mut Scratch<P::Message>,
+    stepper: &mut InlineStepper<'_, P>,
     hook: &mut H,
     churn: &mut C,
     wk: &Wakeups,
@@ -1331,8 +968,7 @@ fn round_engine<M, S, H, C>(
     telemetry_out: &mut Option<RunTelemetry>,
 ) -> Result<Metrics>
 where
-    M: CongestMessage,
-    S: RoundStepper<M>,
+    P: Protocol,
     H: FaultHook,
     C: ChurnHook,
 {
@@ -1367,15 +1003,9 @@ where
     // that drive `metrics.messages`/`bits` and `edge_load` — so per-class
     // totals sum exactly to the undifferentiated counters.
     let mut profile = profile_cfg.map(|_| TrafficProfile::new(edge_load.len()));
-    // Telemetry recording state plus the per-round shard-sample scratch the
-    // stepper fills; `None` (the default) costs a handful of branches per
-    // round and leaves every observable byte-identical.
-    let mut telemetry = telemetry_cfg.map(|tc| {
-        (
-            TelemetryState::new(tc.clone()),
-            Vec::<ShardRoundSample>::new(),
-        )
-    });
+    // Telemetry recording state; `None` (the default) costs a handful of
+    // branches per round and leaves every observable byte-identical.
+    let mut telemetry = telemetry_cfg.map(|tc| TelemetryState::new(tc.clone()));
     let mut result: Result<Metrics> = Err(CongestError::RoundLimitExceeded {
         max_rounds: cfg.max_rounds,
     });
@@ -1448,20 +1078,20 @@ where
             &all_nodes[..]
         };
         out.clear();
-        let outcome = stepper.step(
+        // Wall-clock only ticks when telemetry is on; the off path is
+        // byte-identical (one branch).
+        let step_start = telemetry.is_some().then(Instant::now);
+        let violation = stepper.step(
             round,
             active_list,
             cur,
             out,
             trace.as_mut().map(|(_, t)| &mut t.events),
-            telemetry.as_mut().map(|(_, samples)| samples),
         );
-        if outcome.aborted {
-            // The placeholder round-limit error is never observed: the
-            // caller joins its workers and re-raises the panic.
-            break 'rounds;
-        }
-        if let Some(err) = outcome.violation {
+        let step_wall_nanos = step_start.map_or(0, |t| {
+            t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+        });
+        if let Some(err) = violation {
             result = Err(err);
             break 'rounds;
         }
@@ -1485,20 +1115,22 @@ where
         // mail and the staged sends have not been drained by the merge yet,
         // so every depth below is the round's true occupancy. All logical
         // (element counts, not allocator capacities) — identical across
-        // thread counts, placements, and engines.
-        let mut health = telemetry.as_mut().map(|(_, shard_samples)| RoundHealth {
+        // visit orders and engines.
+        let mut health = telemetry.as_ref().map(|_| RoundHealth {
             round,
             active_nodes: active_list.len() as u64,
             inbox_queued: cur.slab.len() as u64,
             staged_sends: out.slab.len() as u64,
             wake_queue: timers.values().map(|v| v.len() as u64).sum(),
-            arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, M)>()
-                + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, M)>()
-                + held.len() * std::mem::size_of::<Held<M>>()) as u64,
-            shards: std::mem::take(shard_samples),
+            arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, P::Message)>()
+                + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, P::Message)>()
+                + held.len() * std::mem::size_of::<Held<P::Message>>())
+                as u64,
+            nodes_stepped: out.stepped,
+            step_wall_nanos,
         });
         // Ordered merge with per-message fault sampling: ascending
-        // (sender, port), whatever order or thread staged the sends.
+        // (sender, port), whatever order staged the sends.
         let mut delivered = 0u64;
         let mut slab = std::mem::take(&mut out.slab);
         {
@@ -1655,7 +1287,7 @@ where
                 });
             }
         }
-        if let Some((ts, _)) = telemetry.as_mut() {
+        if let Some(ts) = telemetry.as_mut() {
             ts.record_round(
                 sample.expect("sample computed when telemetry is on"),
                 health.take().expect("health captured when telemetry is on"),
@@ -1697,7 +1329,7 @@ where
     *profile_out = profile;
     // Recorded telemetry is handed back even (especially) when the run
     // errored: the flight recorder's last K rounds are the post-mortem.
-    *telemetry_out = telemetry.map(|(ts, _)| ts.finish());
+    *telemetry_out = telemetry.map(TelemetryState::finish);
     result
 }
 
@@ -1736,7 +1368,7 @@ pub struct Simulator<'g, P: Protocol> {
     graph: &'g Graph,
     nodes: Vec<P>,
     /// The graph in CSR form plus the peer-port table — the executor's
-    /// entire static view, shared read-only with the workers.
+    /// entire static view.
     csr: Csr,
     /// One private RNG per node; see the module determinism contract.
     rngs: Vec<StdRng>,
@@ -1769,9 +1401,6 @@ pub struct Simulator<'g, P: Protocol> {
     telemetry_cfg: Option<TelemetryConfig>,
     /// Telemetry recorded by the most recent [`Self::run`] (when enabled).
     telemetry: Option<RunTelemetry>,
-    /// Explicit node→shard placement for the threaded executor; `None`
-    /// (the default) shards into contiguous id chunks.
-    placement: Option<Placement>,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
@@ -1808,34 +1437,14 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             profile: None,
             telemetry_cfg: None,
             telemetry: None,
-            placement: None,
         })
-    }
-
-    /// Attaches an explicit node→shard [`Placement`] for the threaded
-    /// executor of every subsequent [`Self::run`].
-    ///
-    /// The placement is part of the run's *configuration*, not its
-    /// semantics: by the determinism contract every observable —
-    /// `Metrics`, protocol state, traces, profiles, fault/churn logs — is
-    /// byte-identical under any placement (and to the sequential path);
-    /// only wall-clock and cross-worker traffic depend on it. Runs that
-    /// resolve to a single thread ignore the placement entirely.
-    ///
-    /// Validated when a threaded run starts: the placement must cover
-    /// exactly the graph's nodes and have exactly as many shards as the
-    /// run's resolved worker count, else the run fails with
-    /// [`CongestError::PlacementInvalid`].
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = Some(placement);
-        self
     }
 
     /// Enables round-level tracing for every subsequent [`Self::run`].
     ///
     /// Recording never changes observable behavior: `Metrics`, protocol
     /// state, and RNG streams are byte-identical with tracing on or off,
-    /// on the clean, faulty, and multi-threaded execution paths alike.
+    /// on the clean, faulty, and churned execution paths alike.
     pub fn with_trace(mut self, cfg: TraceConfig) -> Self {
         self.trace_cfg = Some(cfg);
         self
@@ -1877,7 +1486,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Enables runtime-execution telemetry for every subsequent
-    /// [`Self::run`]: per-shard step wall-times and work counters, engine
+    /// [`Self::run`]: per-round step wall-time and work counters, engine
     /// gauges (active-set occupancy, inbox/staged depths, wake-queue depth,
     /// arena bytes), a fixed-capacity flight recorder of the last K rounds,
     /// and optional NDJSON streaming ([`TelemetryConfig::stream_to`]).
@@ -1992,8 +1601,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// With a non-trivial [`FaultPlan`] attached, each staged message's
     /// fate is sampled from the plan's message-identity PRF between staging
     /// and delivery; without one the execution is exactly the fault-free
-    /// simulator. Both paths parallelize over [`RunConfig::threads`]
-    /// workers, with byte-identical results for any thread count.
+    /// simulator.
     ///
     /// After a returned error the protocol and RNG states are unspecified
     /// (the run is aborted mid-round); the error value itself is
@@ -2010,10 +1618,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Runs with the per-round node visit order reversed — a test hook for
     /// the determinism contract: by the contract the result is
-    /// byte-identical to [`Self::run`]. The flag only has meaning for the
-    /// single-threaded stepper (pass `threads = 1`); the sharded stepper
-    /// already interleaves nodes differently and is covered by thread-count
-    /// identity.
+    /// byte-identical to [`Self::run`].
     #[doc(hidden)]
     pub fn run_reverse_visit(&mut self, cfg: &RunConfig) -> Result<Metrics> {
         self.run_inner(cfg, true)
@@ -2111,9 +1716,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Picks the engine strategy (active-set vs full sweep) and the
-    /// sequential or threaded stepper, and precomputes the run's
-    /// [`Wakeups`] event streams.
+    /// Picks the engine strategy (active-set vs full sweep), precomputes
+    /// the run's [`Wakeups`] event streams, and runs the unified engine
+    /// over [`InlineStepper`].
     fn dispatch<H: FaultHook, C: ChurnHook>(
         &mut self,
         cfg: &RunConfig,
@@ -2143,35 +1748,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             down_events,
             rejoin_events,
         };
-        let threads = cfg.effective_threads(self.graph.len());
-        if threads <= 1 {
-            self.run_seq(cfg, hook, churn, sched, crash_round, &wk, reverse_visit)
-        } else {
-            self.run_parallel(cfg, hook, churn, sched, crash_round, &wk, threads)
-        }
-    }
-
-    /// Resets the per-edge delivery counters at the start of a run.
-    fn reset_edge_load(&mut self) {
+        let budget_bits = cfg.budget_factor * bits_for_count(self.graph.len().max(2));
         self.edge_load.clear();
         self.edge_load.resize(self.graph.edge_count(), 0);
-    }
-
-    /// Single-threaded execution: the unified engine over [`InlineStepper`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_seq<H: FaultHook, C: ChurnHook>(
-        &mut self,
-        cfg: &RunConfig,
-        hook: &mut H,
-        churn: &mut C,
-        sched: Option<&ChurnSchedule>,
-        crash_round: &[u64],
-        wk: &Wakeups,
-        reverse_visit: bool,
-    ) -> Result<Metrics> {
-        let n = self.graph.len();
-        let budget_bits = cfg.budget_factor * bits_for_count(n.max(2));
-        self.reset_edge_load();
         let trace_cfg = self.trace_cfg;
         let profile_cfg = self.profile_cfg;
         let telemetry_cfg = self.telemetry_cfg.clone();
@@ -2189,7 +1768,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         let csr: &Csr = csr;
         let mut staged = std::mem::take(&mut scratch.staged);
         staged.clear();
-        staged.resize_with(csr.max_degree(0, n), || None);
+        staged.resize_with(csr.max_degree(), || None);
         let mut stepper = InlineStepper::<P> {
             nodes,
             rngs,
@@ -2208,7 +1787,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             &mut stepper,
             hook,
             churn,
-            wk,
+            &wk,
             trace_cfg,
             trace,
             profile_cfg,
@@ -2217,266 +1796,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             telemetry,
         );
         scratch.staged = stepper.staged;
-        result
-    }
-
-    /// Multi-threaded execution: the unified engine over [`ThreadedStepper`],
-    /// with this method owning the worker side — placement-mapped node
-    /// shards, one persistent worker each, job/reply channels, buffer
-    /// recycling, and panic propagation on join.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel<H: FaultHook, C: ChurnHook>(
-        &mut self,
-        cfg: &RunConfig,
-        hook: &mut H,
-        churn: &mut C,
-        sched: Option<&ChurnSchedule>,
-        crash_round: &[u64],
-        wk: &Wakeups,
-        threads: usize,
-    ) -> Result<Metrics> {
-        let n = self.graph.len();
-        let budget_bits = cfg.budget_factor * bits_for_count(n.max(2));
-        self.reset_edge_load();
-        // Resolve the node→shard map: an explicit placement when attached
-        // (validated against this run's resolved worker count), else the
-        // default contiguous chunking.
-        let placement = match &self.placement {
-            Some(p) => {
-                if p.len() != n {
-                    return Err(CongestError::PlacementInvalid {
-                        reason: format!("placement covers {} nodes, graph has {n}", p.len()),
-                    });
-                }
-                if p.shards() != threads {
-                    return Err(CongestError::PlacementInvalid {
-                        reason: format!(
-                            "placement has {} shards, run resolved {threads} workers",
-                            p.shards()
-                        ),
-                    });
-                }
-                p.clone()
-            }
-            None => Placement::contiguous(n, threads),
-        };
-        let monotone = placement.is_id_monotone();
-        // Per-node position within its shard's ascending-id node list, and
-        // per-shard max degree (sizes the workers' staging buffers).
-        let mut local_idx = vec![0u32; n];
-        let mut shard_len = vec![0u32; threads];
-        let mut shard_max_degree = vec![0usize; threads];
-        for (v, idx) in local_idx.iter_mut().enumerate() {
-            let s = placement.shard_of()[v] as usize;
-            *idx = shard_len[s];
-            shard_len[s] += 1;
-            shard_max_degree[s] = shard_max_degree[s].max(self.csr.degree(v));
-        }
-        let trace_cfg = self.trace_cfg;
-        let tracing = trace_cfg.is_some();
-        let profile_cfg = self.profile_cfg;
-        let telemetry_cfg = self.telemetry_cfg.clone();
-        // Workers only pay for the wall-clock stamp when telemetry is on.
-        let telem = telemetry_cfg.is_some();
-        let Simulator {
-            nodes,
-            rngs,
-            csr,
-            edge_load,
-            scratch,
-            trace,
-            profile,
-            telemetry,
-            ..
-        } = self;
-        let csr: &Csr = csr;
-        let shard_of: &[u32] = placement.shard_of();
-        let local_idx: &[u32] = &local_idx;
-
-        // Shard node state machines and their RNG streams; workers own the
-        // shards for the duration of the run and hand them back at the end.
-        // Each shard holds its nodes in ascending id order, matching
-        // `local_idx`.
-        let all_nodes = std::mem::take(nodes);
-        let all_rngs = std::mem::take(rngs);
-        let workers = threads;
-        let mut node_shards: Vec<Vec<P>> = (0..workers)
-            .map(|w| Vec::with_capacity(shard_len[w] as usize))
-            .collect();
-        let mut rng_shards: Vec<Vec<StdRng>> = (0..workers)
-            .map(|w| Vec::with_capacity(shard_len[w] as usize))
-            .collect();
-        for (v, (p, r)) in all_nodes.into_iter().zip(all_rngs).enumerate() {
-            let s = shard_of[v] as usize;
-            node_shards[s].push(p);
-            rng_shards[s].push(r);
-        }
-
-        let (result, nodes_back, rngs_back) = std::thread::scope(|s| {
-            let (reply_tx, reply_rx) = mpsc::channel::<RoundReply<P::Message>>();
-            let mut job_txs = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for (w, (mut my_nodes, mut my_rngs)) in
-                node_shards.into_iter().zip(rng_shards).enumerate()
-            {
-                let (job_tx, job_rx) = mpsc::channel::<RoundJob<P::Message>>();
-                job_txs.push(job_tx);
-                let reply_tx = reply_tx.clone();
-                let max_degree = shard_max_degree[w];
-                handles.push(s.spawn(move || {
-                    let mut staged: Vec<Option<(TrafficClass, P::Message)>> = Vec::new();
-                    staged.resize_with(max_degree, || None);
-                    while let Ok(mut job) = job_rx.recv() {
-                        let round = job.round;
-                        job.out.clear();
-                        job.events.clear();
-                        let step_start = telem.then(std::time::Instant::now);
-                        let mut violation: Option<(u32, CongestError)> = None;
-                        let mut slab_pos = 0usize;
-                        let mut ri = 0usize;
-                        for ai in 0..job.active.len() {
-                            let vu = job.active[ai];
-                            let v = vu as usize;
-                            // Pair the node with its inbox slice *before*
-                            // any skip: crashed and churn-offline receivers
-                            // still swallow their mail.
-                            let mut group_range = slab_pos..slab_pos;
-                            if ri < job.inbox_index.len() && job.inbox_index[ri].0 == vu {
-                                let len = job.inbox_index[ri].1 as usize;
-                                group_range = slab_pos..slab_pos + len;
-                                slab_pos += len;
-                                ri += 1;
-                            }
-                            if crash_round.get(v).is_some_and(|&r| r <= round) {
-                                // Crash-stopped: no step, inbox discarded,
-                                // counts as done.
-                                continue;
-                            }
-                            if sched.is_some_and(|ch| ch.node_down(round, v)) {
-                                // Churn outage: like a crash, but temporary
-                                // (see the inline stepper).
-                                continue;
-                            }
-                            // After a violation the rest of the shard is
-                            // skipped (the run aborts; state after an error
-                            // is unspecified).
-                            if violation.is_some() {
-                                continue;
-                            }
-                            let degree = csr.degree(v);
-                            let mut local_violation = None;
-                            let mut wake: Option<u64> = None;
-                            {
-                                let mut ctx = Ctx {
-                                    node: NodeId::from(v),
-                                    degree,
-                                    neighbors: csr.neighbors(v),
-                                    round,
-                                    budget_bits,
-                                    staged: &mut staged[..degree],
-                                    default_class: P::TRAFFIC_CLASS,
-                                    rng: &mut my_rngs[local_idx[v] as usize],
-                                    violation: &mut local_violation,
-                                    wake: &mut wake,
-                                    trace: if tracing { Some(&mut job.events) } else { None },
-                                    churn: sched,
-                                };
-                                let node = &mut my_nodes[local_idx[v] as usize];
-                                if round == 0 {
-                                    node.init(&mut ctx);
-                                } else if sched.is_some_and(|ch| ch.rejoining(round, v)) {
-                                    node.on_restart(&mut ctx);
-                                } else {
-                                    node.round(&mut ctx, &job.inbox_slab[group_range]);
-                                }
-                            }
-                            if let Some(err) = local_violation {
-                                violation = Some((vu, err));
-                            }
-                            let mut len = 0u32;
-                            for (port, slot) in staged[..degree].iter_mut().enumerate() {
-                                if let Some((cls, msg)) = slot.take() {
-                                    job.out.slab.push((port as u32, cls, msg));
-                                    len += 1;
-                                }
-                            }
-                            if len > 0 {
-                                job.out.index.push((vu, len));
-                            }
-                            job.out
-                                .done
-                                .push((vu, my_nodes[local_idx[v] as usize].is_done()));
-                            if let Some(r) = wake {
-                                job.out.wakes.push((vu, r));
-                            }
-                            job.out.stepped += 1;
-                        }
-                        debug_assert_eq!(slab_pos, job.inbox_slab.len());
-                        debug_assert_eq!(ri, job.inbox_index.len());
-                        job.wall_nanos = step_start.map_or(0, |t| {
-                            t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-                        });
-                        let reply = RoundReply {
-                            worker: w,
-                            job,
-                            violation,
-                        };
-                        if reply_tx.send(reply).is_err() {
-                            break;
-                        }
-                    }
-                    (my_nodes, my_rngs)
-                }));
-            }
-            drop(reply_tx);
-
-            let mut stepper = ThreadedStepper::<P::Message> {
-                job_txs,
-                reply_rx,
-                shard_of,
-                monotone,
-                stash: (0..workers).map(|_| None).collect(),
-            };
-            let result = round_engine(
-                cfg,
-                csr,
-                edge_load,
-                scratch,
-                &mut stepper,
-                hook,
-                churn,
-                wk,
-                trace_cfg,
-                trace,
-                profile_cfg,
-                profile,
-                telemetry_cfg.as_ref(),
-                telemetry,
-            );
-            // Dropping the stepper closes the job channels; workers drain
-            // and exit, handing their shards back.
-            drop(stepper);
-            // Reassemble the node and RNG arrays in ascending id order by
-            // interleaving the shards back through the placement map.
-            let mut shard_iters = Vec::with_capacity(workers);
-            for handle in handles {
-                let (shard_nodes, shard_rngs) = match handle.join() {
-                    Ok(shard) => shard,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                };
-                shard_iters.push((shard_nodes.into_iter(), shard_rngs.into_iter()));
-            }
-            let mut nodes_back = Vec::with_capacity(n);
-            let mut rngs_back = Vec::with_capacity(n);
-            for &s in shard_of {
-                let (nodes_it, rngs_it) = &mut shard_iters[s as usize];
-                nodes_back.push(nodes_it.next().expect("shard hands back every node"));
-                rngs_back.push(rngs_it.next().expect("shard hands back every rng"));
-            }
-            (result, nodes_back, rngs_back)
-        });
-        *nodes = nodes_back;
-        *rngs = rngs_back;
         result
     }
 }
@@ -2628,9 +1947,8 @@ mod tests {
     }
 
     /// Satellite regression: a node tripping two model violations in one
-    /// step must report the *first* one, on every engine strategy, thread
-    /// count, and visit order, and across nodes the lowest node's error is
-    /// canonical.
+    /// step must report the *first* one under either visit order, and
+    /// across nodes the lowest node's error is canonical.
     struct MixedViolator {
         wide_first: bool,
     }
@@ -2664,35 +1982,32 @@ mod tests {
                 })
                 .collect()
         };
-        for threads in [1usize, 2, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
-            let err = Simulator::new(&g, mk(true), 0)
-                .unwrap()
-                .run(&cfg)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                CongestError::MessageTooWide {
-                    bits: 64,
-                    budget: 16
-                },
-                "threads = {threads}: node 0's first violation must win"
-            );
-            let err = Simulator::new(&g, mk(false), 0)
-                .unwrap()
-                .run(&cfg)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                CongestError::DuplicateSend {
-                    node: NodeId(0),
-                    port: 0
-                },
-                "threads = {threads}: node 0's first violation must win"
-            );
-        }
+        let cfg = RunConfig::default();
+        let err = Simulator::new(&g, mk(true), 0)
+            .unwrap()
+            .run(&cfg)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CongestError::MessageTooWide {
+                bits: 64,
+                budget: 16
+            },
+            "node 0's first violation must win"
+        );
+        let err = Simulator::new(&g, mk(false), 0)
+            .unwrap()
+            .run(&cfg)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CongestError::DuplicateSend {
+                node: NodeId(0),
+                port: 0
+            },
+            "node 0's first violation must win"
+        );
         // The reverse test visit reports the same canonical error.
-        let cfg = RunConfig::default().with_threads(1);
         let err = Simulator::new(&g, mk(true), 0)
             .unwrap()
             .run_reverse_visit(&cfg)
@@ -2791,20 +2106,6 @@ mod tests {
             max_rounds: 50,
             ..Default::default()
         };
-        let err = sim.run(&cfg).unwrap_err();
-        assert_eq!(err, CongestError::RoundLimitExceeded { max_rounds: 50 });
-    }
-
-    #[test]
-    fn round_cap_enforced_in_parallel() {
-        let g = path(8);
-        let nodes = (0..8).map(|_| Chatter).collect();
-        let mut sim = Simulator::new(&g, nodes, 0).unwrap();
-        let cfg = RunConfig {
-            max_rounds: 50,
-            ..Default::default()
-        }
-        .with_threads(4);
         let err = sim.run(&cfg).unwrap_err();
         assert_eq!(err, CongestError::RoundLimitExceeded { max_rounds: 50 });
     }
@@ -2922,7 +2223,7 @@ mod tests {
     #[test]
     fn visit_order_cannot_change_outcomes() {
         let g = amt_graphs::generators::hypercube(5);
-        let cfg = RunConfig::default().with_threads(1);
+        let cfg = RunConfig::default();
         let mut fwd = Simulator::new(&g, walker_fleet(32), 9).unwrap();
         let m_fwd = fwd.run(&cfg).unwrap();
         let mut rev = Simulator::new(&g, walker_fleet(32), 9).unwrap();
@@ -2941,37 +2242,15 @@ mod tests {
         );
     }
 
-    /// Byte-identical metrics, protocol state, and edge loads across thread
-    /// counts, on a randomized workload.
-    #[test]
-    fn thread_count_cannot_change_outcomes() {
-        let g = amt_graphs::generators::hypercube(5);
-        let run = |threads: usize| {
-            let mut sim = Simulator::new(&g, walker_fleet(32), 123).unwrap();
-            let m = sim
-                .run(&RunConfig::default().with_threads(threads))
-                .unwrap();
-            let traces: Vec<u64> = sim.nodes().iter().map(|p| p.trace).collect();
-            (m, traces, sim.edge_load().to_vec())
-        };
-        let baseline = run(1);
-        for threads in [2, 3, 4, 8, 32] {
-            assert_eq!(run(threads), baseline, "threads = {threads} diverged");
-        }
-    }
-
     /// The determinism contract across engine strategies: the active-set
     /// engine must be byte-identical to the retained full-sweep reference
-    /// (metrics, protocol state, edge loads), at every thread count and
-    /// under visit-order reversal.
+    /// (metrics, protocol state, edge loads), under either visit order.
     #[test]
     fn sparse_engine_matches_full_sweep_reference() {
         let g = amt_graphs::generators::hypercube(5);
-        let run = |threads: usize, reverse: bool, full_sweep: bool| {
+        let run = |reverse: bool, full_sweep: bool| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 9).unwrap();
-            let cfg = RunConfig::default()
-                .with_threads(threads)
-                .with_full_sweep(full_sweep);
+            let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let m = if reverse {
                 sim.run_reverse_visit(&cfg).unwrap()
             } else {
@@ -2980,13 +2259,18 @@ mod tests {
             let traces: Vec<u64> = sim.nodes().iter().map(|p| p.trace).collect();
             (m, traces, sim.edge_load().to_vec())
         };
-        let reference = run(1, false, true);
+        let reference = run(false, true);
         assert!(reference.0.messages > 0);
-        for (threads, reverse) in [(1, false), (1, true), (2, false), (4, false), (8, false)] {
+        assert_eq!(
+            run(true, true),
+            reference,
+            "full sweep diverged on reversal"
+        );
+        for reverse in [false, true] {
             assert_eq!(
-                run(threads, reverse, false),
+                run(reverse, false),
                 reference,
-                "sparse engine diverged at threads = {threads}, reverse = {reverse}"
+                "sparse engine diverged at reverse = {reverse}"
             );
         }
     }
@@ -3047,14 +2331,17 @@ mod tests {
         // Quiescence would stop at round 1 (nothing in flight until the
         // first fire); AllDone keeps both engines going until the beacons
         // are spent, timers included.
-        let run = |threads: usize, full_sweep: bool| {
+        let run = |reverse: bool, full_sweep: bool| {
             let mut sim = Simulator::new(&g, ticker_fleet(6), 3)
                 .unwrap()
                 .with_trace(TraceConfig::default());
-            let cfg = RunConfig::all_done()
-                .with_threads(threads)
-                .with_full_sweep(full_sweep);
-            let m = sim.run(&cfg).unwrap();
+            let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
+            let m = if reverse {
+                sim.run_reverse_visit(&cfg)
+            } else {
+                sim.run(&cfg)
+            }
+            .unwrap();
             let got: Vec<Vec<u64>> = sim.nodes().iter().map(|p| p.got.clone()).collect();
             let trace = sim.take_trace().unwrap();
             (m, got, trace)
@@ -3065,8 +2352,8 @@ mod tests {
             }
             t
         };
-        let sparse = run(1, false);
-        let full = run(1, true);
+        let sparse = run(false, false);
+        let full = run(false, true);
         // Node 1 heard every beacon: rounds 3, 6, 9, 12.
         assert_eq!(sparse.1[1], vec![3, 6, 9, 12]);
         assert_eq!(sparse.0, full.0, "metrics diverged across strategies");
@@ -3083,21 +2370,21 @@ mod tests {
             stepped(&sparse.2),
             stepped(&full.2)
         );
-        // Threaded sparse is fully identical to sequential sparse,
+        // Reversed sparse is fully identical to forward sparse,
         // active_nodes gauge included.
-        let sparse4 = run(4, false);
-        assert_eq!(sparse4.0, sparse.0);
-        assert_eq!(sparse4.1, sparse.1);
-        assert_eq!(sparse4.2, sparse.2);
-        assert_eq!(run(4, true).0, full.0);
+        let sparse_rev = run(true, false);
+        assert_eq!(sparse_rev.0, sparse.0);
+        assert_eq!(sparse_rev.1, sparse.1);
+        assert_eq!(sparse_rev.2, sparse.2);
+        assert_eq!(run(true, true).0, full.0);
     }
 
     /// The tentpole property end to end: with message-identity fault
     /// keying, the faulty path is byte-identical — `Metrics`, the
     /// fault-event log, crashed sets, protocol state, and edge loads —
-    /// across visit-order reversal and every thread count.
+    /// across visit-order reversal and both engine strategies.
     #[test]
-    fn fault_stream_is_independent_of_visit_order_and_threads() {
+    fn fault_stream_is_independent_of_visit_order_and_engine() {
         let g = amt_graphs::generators::hypercube(5);
         let plan = FaultPlan::none()
             .seeded(11)
@@ -3105,11 +2392,11 @@ mod tests {
             .with_corruption(0.05)
             .with_delays(0.1, 3)
             .with_crash(NodeId(3), 6);
-        let run = |threads: usize, reverse: bool| {
+        let run = |reverse: bool, full_sweep: bool| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 123)
                 .unwrap()
                 .with_fault_plan(plan.clone());
-            let cfg = RunConfig::default().with_threads(threads);
+            let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let m = if reverse {
                 sim.run_reverse_visit(&cfg)
             } else {
@@ -3125,20 +2412,15 @@ mod tests {
                 sim.edge_load().to_vec(),
             )
         };
-        let baseline = run(1, false);
+        let baseline = run(false, false);
         assert!(
             baseline.0.message_faults() > 0,
             "the plan must actually inject faults"
         );
         assert_eq!(baseline.2, vec![NodeId(3)]);
-        assert_eq!(run(1, true), baseline, "visit-order reversal diverged");
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run(threads, false),
-                baseline,
-                "threads = {threads} diverged"
-            );
-        }
+        assert_eq!(run(true, false), baseline, "visit-order reversal diverged");
+        assert_eq!(run(false, true), baseline, "full sweep diverged");
+        assert_eq!(run(true, true), baseline, "reversed full sweep diverged");
     }
 
     /// Satellite regression: a normalized-trivial plan *forced through the
@@ -3148,8 +2430,8 @@ mod tests {
     #[test]
     fn trivial_plan_through_faulty_engine_matches_clean_path() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1usize, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
+        let cfg = RunConfig::default();
+        for reverse in [false, true] {
             let mut clean = Simulator::new(&g, walker_fleet(32), 9).unwrap();
             let m_clean = clean.run(&cfg).unwrap();
 
@@ -3160,13 +2442,13 @@ mod tests {
             let mut fs = FaultState::new(&plan, g.len()).unwrap();
             let crash_round = plan.crash_rounds(g.len());
             let m_forced = forced
-                .dispatch(&cfg, &mut fs, &mut NoChurn, None, &crash_round, false)
+                .dispatch(&cfg, &mut fs, &mut NoChurn, None, &crash_round, reverse)
                 .unwrap();
 
-            assert_eq!(m_clean, m_forced, "threads = {threads}: metrics diverged");
+            assert_eq!(m_clean, m_forced, "reverse = {reverse}: metrics diverged");
             let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
             let t_forced: Vec<u64> = forced.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(t_clean, t_forced, "threads = {threads}: state diverged");
+            assert_eq!(t_clean, t_forced, "reverse = {reverse}: state diverged");
             assert_eq!(clean.edge_load(), forced.edge_load());
             assert!(fs.events.is_empty());
             assert!(forced.crashed_nodes().is_empty());
@@ -3180,8 +2462,8 @@ mod tests {
     #[test]
     fn trivial_churn_plan_through_churned_engine_matches_clean_path() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1usize, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
+        let cfg = RunConfig::default();
+        for reverse in [false, true] {
             let mut clean = Simulator::new(&g, walker_fleet(32), 9).unwrap();
             let m_clean = clean.run(&cfg).unwrap();
 
@@ -3194,10 +2476,7 @@ mod tests {
                 .unwrap()
                 .with_churn_plan(plan.clone());
             let m_routed = routed.run(&cfg).unwrap();
-            assert_eq!(
-                m_clean, m_routed,
-                "threads = {threads}: trivial-plan run diverged"
-            );
+            assert_eq!(m_clean, m_routed, "trivial-plan run diverged");
             assert!(routed.churn_events().is_empty());
 
             // Forced through the churn-aware engine: still byte-identical.
@@ -3205,12 +2484,12 @@ mod tests {
             let sched = plan.normalize(g.len(), g.edge_count());
             let mut cs = ChurnState::new(&sched);
             let m_forced = forced
-                .dispatch(&cfg, &mut NoFaults, &mut cs, Some(&sched), &[], false)
+                .dispatch(&cfg, &mut NoFaults, &mut cs, Some(&sched), &[], reverse)
                 .unwrap();
-            assert_eq!(m_clean, m_forced, "threads = {threads}: metrics diverged");
+            assert_eq!(m_clean, m_forced, "reverse = {reverse}: metrics diverged");
             let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
             let t_forced: Vec<u64> = forced.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(t_clean, t_forced, "threads = {threads}: state diverged");
+            assert_eq!(t_clean, t_forced, "reverse = {reverse}: state diverged");
             assert_eq!(clean.edge_load(), forced.edge_load());
             assert!(cs.events.is_empty());
         }
@@ -3218,12 +2497,12 @@ mod tests {
 
     /// Profiling must be observably free (byte-identical `Metrics`, state,
     /// and edge loads) and exact: per-class totals sum to the run's
-    /// `Metrics` and per-edge loads, at every thread count.
+    /// `Metrics` and per-edge loads, on both engine strategies.
     #[test]
     fn profiling_is_observably_free_and_sums_exactly() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
+        for full_sweep in [false, true] {
+            let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
             let m_plain = plain.run(&cfg).unwrap();
             assert!(plain.profile().is_none(), "profiling is off by default");
@@ -3234,7 +2513,7 @@ mod tests {
             let m_profiled = profiled.run(&cfg).unwrap();
             assert_eq!(
                 m_plain, m_profiled,
-                "threads = {threads}: profiling changed metrics"
+                "full_sweep = {full_sweep}: profiling changed metrics"
             );
             let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
             let s_profiled: Vec<u64> = profiled.nodes().iter().map(|p| p.trace).collect();
@@ -3259,8 +2538,8 @@ mod tests {
     #[test]
     fn telemetry_is_observably_free() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
+        for full_sweep in [false, true] {
+            let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
             let m_plain = plain.run(&cfg).unwrap();
             assert!(plain.telemetry().is_none(), "telemetry is off by default");
@@ -3271,7 +2550,7 @@ mod tests {
             let m_watched = watched.run(&cfg).unwrap();
             assert_eq!(
                 m_plain, m_watched,
-                "threads = {threads}: telemetry changed metrics"
+                "full_sweep = {full_sweep}: telemetry changed metrics"
             );
             let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
             let s_watched: Vec<u64> = watched.nodes().iter().map(|p| p.trace).collect();
@@ -3279,18 +2558,18 @@ mod tests {
             assert_eq!(plain.edge_load(), watched.edge_load());
 
             let t = watched.take_telemetry().expect("telemetry was enabled");
-            assert_eq!(t.shards, threads, "one shard sample stream per worker");
             assert_eq!(t.rounds, m_watched.rounds);
             // Every round stepped at least the nodes that did work, and the
-            // per-shard staging counters reconcile with the message total.
-            let stepped: u64 = t.shard_nodes_stepped.iter().sum();
-            assert!(stepped > 0);
+            // staging counter reconciles with the message total.
+            assert!(t.nodes_stepped > 0);
             assert_eq!(
-                t.shard_messages_staged.iter().sum::<u64>(),
-                m_watched.messages,
-                "threads = {threads}: staged-send attribution must sum to the run's messages"
+                t.nodes_stepped,
+                t.history.iter().map(|h| h.nodes_stepped).sum::<u64>()
             );
-            assert!(t.imbalance() >= 1.0, "imbalance is max/mean, so >= 1");
+            assert_eq!(
+                t.messages_staged, m_watched.messages,
+                "full_sweep = {full_sweep}: staged sends must sum to the run's messages"
+            );
             assert_eq!(t.history.len() as u64, m_watched.rounds + 1);
             assert!(!t.recent.is_empty(), "flight recorder retains rounds");
             assert_eq!(
@@ -3323,32 +2602,14 @@ mod tests {
         assert!(untraced.take_trace().unwrap().profile.is_none());
     }
 
-    /// Malformed `AMT_SIM_THREADS` values are rejected loudly; valid ones
-    /// parse (whitespace-tolerant). The panic itself lives behind a
-    /// process-wide `OnceLock` (see [`default_threads`]), so the parser is
-    /// what gets unit-tested.
-    #[test]
-    fn thread_env_parsing() {
-        assert_eq!(parse_thread_env("4"), Ok(4));
-        assert_eq!(parse_thread_env(" 2 \n"), Ok(2));
-        let err = parse_thread_env("four").unwrap_err();
-        assert!(err.contains("AMT_SIM_THREADS"), "{err}");
-        assert!(err.contains("four"), "{err}");
-        let err = parse_thread_env("0").unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-        assert!(parse_thread_env("").is_err());
-        assert!(parse_thread_env("-3").is_err());
-        assert!(parse_thread_env("3.5").is_err());
-    }
-
     /// Enabling tracing must not change a single observable bit, and the
     /// recorded timeline must reconstruct the run's `Metrics` exactly, on
-    /// both the sequential and the threaded clean path.
+    /// both engine strategies of the clean path.
     #[test]
     fn tracing_is_observably_free_and_replays_metrics() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
+        for full_sweep in [false, true] {
+            let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
             let m_plain = plain.run(&cfg).unwrap();
             assert!(plain.trace().is_none(), "tracing is off by default");
@@ -3359,7 +2620,7 @@ mod tests {
             let m_traced = traced.run(&cfg).unwrap();
             assert_eq!(
                 m_plain, m_traced,
-                "threads = {threads}: tracing changed metrics"
+                "full_sweep = {full_sweep}: tracing changed metrics"
             );
             let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
             let s_traced: Vec<u64> = traced.nodes().iter().map(|p| p.trace).collect();
@@ -3374,30 +2635,28 @@ mod tests {
         }
     }
 
-    /// The threaded executor's event merge must reproduce the sequential
-    /// `(round, node)` event order exactly.
+    /// Trace events come out in `(round, node)` order, and the full sweep
+    /// reproduces the active-set engine's event stream exactly.
     #[test]
     fn trace_events_merge_in_sequential_order() {
         let g = amt_graphs::generators::hypercube(5);
-        let run = |threads: usize| {
+        let run = |full_sweep: bool| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 5)
                 .unwrap()
                 .with_trace(TraceConfig::default());
-            sim.run(&RunConfig::default().with_threads(threads))
+            sim.run(&RunConfig::default().with_full_sweep(full_sweep))
                 .unwrap();
-            sim.take_trace().unwrap()
+            sim.take_trace().unwrap().events
         };
-        let baseline = run(1);
-        assert!(!baseline.events.is_empty());
-        for w in baseline.events.windows(2) {
+        let baseline = run(false);
+        assert!(!baseline.is_empty());
+        for w in baseline.windows(2) {
             assert!(
                 (w[0].round, w[0].node.index()) <= (w[1].round, w[1].node.index()),
                 "sequential events must be (round, node)-ordered"
             );
         }
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), baseline, "threads = {threads} trace diverged");
-        }
+        assert_eq!(run(true), baseline, "full-sweep events diverged");
     }
 
     /// Per-node streams must differ between nodes and between seeds.
@@ -3520,8 +2779,7 @@ mod tests {
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(1);
+        };
         let m = sim.run(&cfg).unwrap();
         // Both endpoints send every round; rounds 2 and 3 are eaten by the
         // outage in both directions.
@@ -3572,8 +2830,7 @@ mod tests {
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(1);
+        };
         let m = sim.run(&cfg).unwrap();
         // Node 0's beacons of rounds 2 and 3 die against the offline node;
         // node 1, being down, stages nothing those rounds.
@@ -3602,21 +2859,21 @@ mod tests {
 
     /// Engine-level churn determinism: a plan mixing PRF flaps, a periodic
     /// outage, and a restart produces byte-identical metrics, churn-event
-    /// logs, protocol state, and edge loads across thread counts and under
-    /// visit-order reversal.
+    /// logs, protocol state, and edge loads across both engine strategies
+    /// and under visit-order reversal.
     #[test]
-    fn churned_runs_are_identical_across_threads_and_visit_order() {
+    fn churned_runs_are_identical_across_engines_and_visit_order() {
         let g = amt_graphs::generators::hypercube(5);
         let plan = ChurnPlan::none()
             .seeded(41)
             .with_flaps(0.08, 6)
             .with_periodic_outage(EdgeId(3), 4, 3, 11)
             .with_restart(NodeId(7), 5, 4);
-        let run = |threads: usize, reverse: bool| {
+        let run = |reverse: bool, full_sweep: bool| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 9)
                 .unwrap()
                 .with_churn_plan(plan.clone());
-            let cfg = RunConfig::default().with_threads(threads);
+            let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let m = if reverse {
                 sim.run_reverse_visit(&cfg).unwrap()
             } else {
@@ -3630,20 +2887,15 @@ mod tests {
                 sim.edge_load().to_vec(),
             )
         };
-        let baseline = run(1, false);
+        let baseline = run(false, false);
         assert!(
             baseline.0.lost_to_churn > 0,
             "the plan must actually bite: {:?}",
             baseline.0
         );
         assert_eq!(baseline.0.restarts, 1);
-        assert_eq!(run(1, true), baseline, "visit-order reversal diverged");
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run(threads, false),
-                baseline,
-                "threads = {threads} diverged"
-            );
-        }
+        assert_eq!(run(true, false), baseline, "visit-order reversal diverged");
+        assert_eq!(run(false, true), baseline, "full sweep diverged");
+        assert_eq!(run(true, true), baseline, "reversed full sweep diverged");
     }
 }

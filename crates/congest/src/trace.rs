@@ -14,10 +14,7 @@
 //!   exact same code path bit for bit — `Metrics`, protocol state, and RNG
 //!   streams are byte-identical with tracing on or off.
 //! * **Deterministic.** Samples are recorded once per round in round order;
-//!   events are recorded in `(round, node)` order whatever the executor's
-//!   thread count (threaded workers buffer events locally and the
-//!   coordinator merges the shard buffers in node order, which is exactly
-//!   the sequential visit order).
+//!   events are recorded in `(round, node)` order.
 //! * **Lossless accounting.** Summing the timeline reproduces the run's
 //!   `Metrics` exactly — see [`RunTrace::reconstruct_metrics`], which tests
 //!   use to cross-check the simulator's own accounting.
@@ -296,8 +293,8 @@ impl RecoveryTimeline {
 /// This is *observability metadata*: it reports how long the host machine
 /// took, not anything about the simulated execution. To keep the
 /// simulator's determinism contract testable (`Metrics`, outcome structs,
-/// and stats structs are compared across visit orders, thread counts, and
-/// execution paths), **equality on `PhaseTimings` is always `true`** — two
+/// and stats structs are compared across visit orders and execution
+/// paths), **equality on `PhaseTimings` is always `true`** — two
 /// values compare equal whatever they contain. `assert_eq!` on this type
 /// (or on a struct embedding it) therefore says nothing about the timings
 /// themselves. Assertions about timings must go through

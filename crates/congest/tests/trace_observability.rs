@@ -2,9 +2,10 @@
 //! and the delivered-bits accounting audit for corrupted frames.
 
 use amt_congest::{
-    Ctx, FaultKind, FaultPlan, Metrics, Protocol, RunConfig, RunTrace, Simulator, TraceConfig,
+    ChurnPlan, Ctx, FaultKind, FaultPlan, Metrics, Protocol, RunConfig, RunTrace, Simulator,
+    TraceConfig,
 };
-use amt_graphs::{Graph, NodeId};
+use amt_graphs::{EdgeId, Graph, NodeId};
 use rand::RngExt;
 
 /// Randomized lazy token walker (the paper's workload shape): sensitive to
@@ -61,36 +62,31 @@ fn fleet(n: usize) -> Vec<Walker> {
 type RunResult = (Metrics, RunTrace, Vec<u64>, Vec<u64>);
 
 /// One randomized run must be byte-identical — `Metrics` *and* the full
-/// round timeline — on the sequential clean path, the threaded clean path
-/// (1 and 4 workers), and the faulty executor driven by a plan that is
-/// non-trivial (so it takes the fault-sampling code path) but can never
-/// fire a fault (a crash scheduled far beyond termination).
-fn run_sim(mut sim: Simulator<'_, Walker>, threads: usize) -> RunResult {
-    let m = sim
-        .run(&RunConfig::default().with_threads(threads))
-        .unwrap();
+/// round timeline — on the clean path (replayed from the same seed), the
+/// faulty executor, and the churn-aware executor, each driven by a plan
+/// that is non-trivial (so it takes the hooked code path) but can never
+/// fire (a crash or outage scheduled far beyond termination).
+fn run_sim(mut sim: Simulator<'_, Walker>) -> RunResult {
+    let m = sim.run(&RunConfig::default()).unwrap();
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
     let loads = sim.edge_load().to_vec();
     (m, sim.take_trace().unwrap(), digests, loads)
 }
 
 #[test]
-fn clean_threaded_and_inert_fault_paths_agree() {
+fn clean_and_inert_fault_and_churn_paths_agree() {
     let g = amt_graphs::generators::hypercube(5);
-    let clean = |threads| {
+    let clean = || {
         run_sim(
             Simulator::new(&g, fleet(32), 2024)
                 .unwrap()
                 .with_trace(TraceConfig::default().with_edge_load_stride(3)),
-            threads,
         )
     };
-    let baseline = clean(1);
+    let baseline = clean();
     assert!(baseline.0.messages > 0, "workload must send traffic");
     assert!(!baseline.1.events.is_empty(), "workload must emit events");
-    for threads in [2, 4] {
-        assert_eq!(clean(threads), baseline, "threads = {threads} diverged");
-    }
+    assert_eq!(clean(), baseline, "same-seed replay diverged");
 
     // Non-trivial plan (goes through the fault executor) that cannot fire:
     // the only scheduled fault is a crash at a round never reached.
@@ -101,9 +97,22 @@ fn clean_threaded_and_inert_fault_paths_agree() {
             .unwrap()
             .with_fault_plan(inert)
             .with_trace(TraceConfig::default().with_edge_load_stride(3)),
-        1,
     );
     assert_eq!(faulty, baseline, "inert fault plan diverged from clean run");
+
+    // The churn-aware executor's counterpart: an outage that never starts.
+    let inert = ChurnPlan::none().with_edge_outage(EdgeId(0), 900_000, 1);
+    assert!(!inert.is_trivial());
+    let churned = run_sim(
+        Simulator::new(&g, fleet(32), 2024)
+            .unwrap()
+            .with_churn_plan(inert)
+            .with_trace(TraceConfig::default().with_edge_load_stride(3)),
+    );
+    assert_eq!(
+        churned, baseline,
+        "inert churn plan diverged from clean run"
+    );
 }
 
 /// Receiver of everything node 0 sends across a 2-node path. The message

@@ -88,7 +88,6 @@ pub(crate) fn min_flood(
     active: &HashSet<EdgeId>,
     init: &[u64],
     seed: u64,
-    threads: usize,
     class: TrafficClass,
     profile: Option<ProfileConfig>,
 ) -> Result<(Vec<u64>, Metrics, Option<TrafficProfile>)> {
@@ -116,8 +115,7 @@ pub(crate) fn min_flood(
     let cfg = RunConfig {
         budget_factor: 24,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = sim.run(&cfg)?;
     let prof = sim.take_profile();
     Ok((sim.nodes().iter().map(|p| p.value).collect(), metrics, prof))
@@ -141,22 +139,11 @@ pub(crate) fn decode_edge(wg: &WeightedGraph, v: u64) -> EdgeId {
 /// [`MstError::Graph`] on disconnected input, [`MstError::Congest`] on
 /// simulator violations, [`MstError::TooManyIterations`] as a bug guard.
 pub fn run(wg: &WeightedGraph, seed: u64) -> Result<CongestMstOutcome> {
-    run_with(wg, seed, 0)
-}
-
-/// [`run`] with an explicit simulator worker-thread count (`0` = the
-/// process default). Outcome and metrics are byte-identical for every
-/// `threads` value — the simulator's determinism contract.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with(wg: &WeightedGraph, seed: u64, threads: usize) -> Result<CongestMstOutcome> {
-    let (out, _) = run_instrumented(wg, seed, threads, None)?;
+    let (out, _) = run_instrumented(wg, seed, None)?;
     Ok(out)
 }
 
-/// [`run_with`] with opt-in traffic profiling: when `profile` is set, the
+/// [`run`] with opt-in traffic profiling: when `profile` is set, the
 /// returned [`TrafficProfile`] accumulates every flood's traffic across
 /// iterations (candidate floods under [`class::MST_FLOOD`], label floods
 /// under [`class::MST_LABEL`]), with totals summing exactly to the
@@ -168,7 +155,6 @@ pub fn run_with(wg: &WeightedGraph, seed: u64, threads: usize) -> Result<Congest
 pub fn run_instrumented(
     wg: &WeightedGraph,
     seed: u64,
-    threads: usize,
     profile: Option<ProfileConfig>,
 ) -> Result<(CongestMstOutcome, Option<TrafficProfile>)> {
     let g = wg.graph();
@@ -221,7 +207,6 @@ pub fn run_instrumented(
             &forest,
             &init,
             seed ^ u64::from(iterations),
-            threads,
             class::MST_FLOOD,
             profile,
         )?;
@@ -263,7 +248,6 @@ pub fn run_instrumented(
             &forest,
             &label_init,
             seed ^ 0xF00D ^ u64::from(iterations),
-            threads,
             class::MST_LABEL,
             profile,
         )?;

@@ -194,7 +194,6 @@ fn reliable_min_flood(
     elapsed: u64,
     crash_rounds: &mut HashMap<u32, u64>,
     timeline: &mut RecoveryTimeline,
-    threads: usize,
     class: TrafficClass,
     phase: u64,
     obs: &mut PhaseObs,
@@ -243,7 +242,6 @@ fn reliable_min_flood(
         stop: StopCondition::AllDone,
         budget_factor: 32,
         max_rounds: 500_000,
-        threads,
         ..RunConfig::default()
     };
     let metrics = sim.run(&cfg)?;
@@ -415,29 +413,11 @@ pub struct HealedMstOutcome {
 /// [`CongestError::NodeCrashed`] when the crashes disconnect the surviving
 /// subgraph — and [`MstError::TooManyIterations`] as a bug guard.
 pub fn run_healing(wg: &WeightedGraph, seed: u64, plan: FaultPlan) -> Result<HealedMstOutcome> {
-    run_healing_with(wg, seed, plan, 0)
-}
-
-/// [`run_healing`] with an explicit simulator thread count (0 = auto).
-///
-/// Message-identity fault keying makes the faulty path byte-identical at
-/// every thread count, so `threads` only changes wall-clock — the outcome,
-/// metrics, and fault-event log are invariant.
-///
-/// # Errors
-///
-/// Same as [`run_healing`].
-pub fn run_healing_with(
-    wg: &WeightedGraph,
-    seed: u64,
-    plan: FaultPlan,
-    threads: usize,
-) -> Result<HealedMstOutcome> {
-    let (out, _, _) = run_healing_instrumented(wg, seed, plan, threads, None, None)?;
+    let (out, _, _) = run_healing_instrumented(wg, seed, plan, None, None)?;
     Ok(out)
 }
 
-/// [`run_healing_with`] with opt-in observability: when `trace` is set,
+/// [`run_healing`] with opt-in observability: when `trace` is set,
 /// returns one [`RunTrace`] per flooding phase (phase starts appear as
 /// `"mst_phase"` span events carrying the global phase number); when
 /// `profile` is set, returns a [`TrafficProfile`] accumulated across all
@@ -452,14 +432,13 @@ pub fn run_healing_instrumented(
     wg: &WeightedGraph,
     seed: u64,
     plan: FaultPlan,
-    threads: usize,
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
-    run_healing_churned_instrumented(wg, seed, plan, ChurnPlan::none(), threads, trace, profile)
+    run_healing_churned_instrumented(wg, seed, plan, ChurnPlan::none(), trace, profile)
 }
 
-/// [`run_healing_with`] under topology churn: fault-tolerant Borůvka
+/// [`run_healing`] under topology churn: fault-tolerant Borůvka
 /// executed against `churn`, with cut-aware candidate selection, pruning of
 /// cut tree edges, capped-backoff phase restarts, and a
 /// [`RecoveryTimeline`] in the outcome (see the module docs). The churn
@@ -476,9 +455,8 @@ pub fn run_healing_churned(
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
-    threads: usize,
 ) -> Result<HealedMstOutcome> {
-    let (out, _, _) = run_healing_churned_instrumented(wg, seed, plan, churn, threads, None, None)?;
+    let (out, _, _) = run_healing_churned_instrumented(wg, seed, plan, churn, None, None)?;
     Ok(out)
 }
 
@@ -494,7 +472,6 @@ pub fn run_healing_churned_instrumented(
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
-    threads: usize,
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
@@ -674,7 +651,6 @@ pub fn run_healing_churned_instrumented(
                 elapsed,
                 &mut crash_rounds,
                 &mut timeline,
-                threads,
                 class::MST_LABEL,
                 phase,
                 &mut obs,
@@ -790,7 +766,6 @@ pub fn run_healing_churned_instrumented(
             elapsed,
             &mut crash_rounds,
             &mut timeline,
-            threads,
             class::MST_FLOOD,
             phase,
             &mut obs,
@@ -897,7 +872,6 @@ pub fn run_healing_churned_instrumented(
             elapsed,
             &mut crash_rounds,
             &mut timeline,
-            threads,
             class::MST_LABEL,
             phase,
             &mut obs,
@@ -1142,7 +1116,7 @@ mod tests {
         let g = generators::random_regular(32, 4, &mut rng).unwrap();
         let wg = WeightedGraph::with_random_weights(g, 300, &mut rng);
         let churn = ChurnPlan::none().seeded(23).with_flaps(0.1, 4);
-        let healed = run_healing_churned(&wg, 3, FaultPlan::none(), churn, 0).unwrap();
+        let healed = run_healing_churned(&wg, 3, FaultPlan::none(), churn).unwrap();
         assert!(
             healed.metrics.lost_to_churn > 0,
             "flaps this dense must cost at least one frame"
@@ -1161,7 +1135,7 @@ mod tests {
             .seeded(9)
             .with_restart(NodeId(5), 3, 5)
             .with_edge_cut(EdgeId(0), 0);
-        let healed = run_healing_churned(&wg, 2, FaultPlan::none(), churn, 0).unwrap();
+        let healed = run_healing_churned(&wg, 2, FaultPlan::none(), churn).unwrap();
         assert_eq!(healed.metrics.restarts, 1, "node 5 rejoins exactly once");
         assert!(healed.crashed_nodes.is_empty(), "a restart is not a crash");
         assert_eq!(
@@ -1192,7 +1166,7 @@ mod tests {
         let churn = ChurnPlan::none()
             .seeded(11)
             .with_edge_cut(min_edge, clean.rounds.saturating_sub(2));
-        let healed = run_healing_churned(&wg, 2, FaultPlan::none(), churn, 0).unwrap();
+        let healed = run_healing_churned(&wg, 2, FaultPlan::none(), churn).unwrap();
         assert_eq!(
             healed.cut_tree_edges,
             vec![min_edge],
@@ -1232,7 +1206,7 @@ mod tests {
             .seeded(4)
             .with_edge_cut(EdgeId(3), 2)
             .with_edge_cut(EdgeId(4), 2);
-        let err = run_healing_churned(&wg, 1, FaultPlan::none(), churn, 0).unwrap_err();
+        let err = run_healing_churned(&wg, 1, FaultPlan::none(), churn).unwrap_err();
         match err {
             MstError::Congest(CongestError::Partitioned { components, .. }) => {
                 assert_eq!(components, 3);
@@ -1252,7 +1226,7 @@ mod tests {
         let churn = ChurnPlan::none()
             .seeded(3)
             .with_restart(NodeId(3), 2, 1_000_000);
-        let healed = run_healing_churned(&wg, 5, FaultPlan::none(), churn, 0).unwrap();
+        let healed = run_healing_churned(&wg, 5, FaultPlan::none(), churn).unwrap();
         assert_eq!(healed.crashed_nodes, vec![NodeId(3)]);
         assert!(healed.phase_restarts >= MAX_LINK_RETRIES);
         assert_eq!(
@@ -1273,8 +1247,8 @@ mod tests {
             .seeded(5)
             .with_flaps(0.08, 5)
             .with_restart(NodeId(4), 10, 6);
-        let a = run_healing_churned(&wg, 2, plan.clone(), churn.clone(), 1).unwrap();
-        let b = run_healing_churned(&wg, 2, plan, churn, 4).unwrap();
+        let a = run_healing_churned(&wg, 2, plan.clone(), churn.clone()).unwrap();
+        let b = run_healing_churned(&wg, 2, plan, churn).unwrap();
         assert_eq!(a.tree_edges, b.tree_edges);
         assert_eq!(a.cut_tree_edges, b.cut_tree_edges);
         assert_eq!(a.metrics, b.metrics);
@@ -1292,14 +1266,14 @@ mod tests {
             .with_drops(0.05)
             .with_crash(NodeId(6), 12);
         let plain = run_healing(&wg, 2, plan.clone()).unwrap();
-        let churned = run_healing_churned(&wg, 2, plan, ChurnPlan::none().seeded(99), 0).unwrap();
+        let churned = run_healing_churned(&wg, 2, plan, ChurnPlan::none().seeded(99)).unwrap();
         assert_eq!(plain.tree_edges, churned.tree_edges);
         assert_eq!(plain.metrics, churned.metrics);
         assert_eq!(plain.phase_restarts, churned.phase_restarts);
         assert_eq!(plain.timeline, churned.timeline);
         assert!(churned.cut_tree_edges.is_empty());
         // Fault-free and churn-free means damage-free.
-        let calm = run_healing_churned(&wg, 2, FaultPlan::none(), ChurnPlan::none(), 0).unwrap();
+        let calm = run_healing_churned(&wg, 2, FaultPlan::none(), ChurnPlan::none()).unwrap();
         assert!(calm.timeline.spans().is_empty());
         assert_eq!(calm.timeline.open_count(), 0);
     }

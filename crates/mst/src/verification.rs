@@ -74,7 +74,6 @@ pub fn verify_spanning_tree_distributed(
         &claimed_set,
         &init,
         seed,
-        0,
         amt_congest::class::MST_LABEL,
         None,
     )?;

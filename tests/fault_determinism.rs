@@ -3,29 +3,32 @@
 //! src_port)` and churn verdicts on `(churn_seed, round, edge)`, so the
 //! same `(graph, seed, plan, churn)` yields identical `Metrics`,
 //! fault/churn-event logs, crashed sets, and recovery timelines across
-//! worker-thread counts {1, 2, 4, 8} and across node-visit-order
-//! reversal — for a raw simulator workload, both self-healing protocols
+//! same-seed replays and node-visit-order reversal, and a trivial churn
+//! plan leaves the healing drivers byte-identical to their churn-free
+//! runs — for a raw simulator workload, both self-healing protocols
 //! (walks and Borůvka MST), and the churned bit-fix router.
+//!
+//! Several test names still say "across thread counts": the names are
+//! kept stable for test tracking, and each doc comment states the axis the
+//! test now compares.
 
 use amt_core::congest::{
-    Ctx, Metrics, Placement, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
-    StopCondition, TelemetryConfig, TrafficProfile,
+    Ctx, Metrics, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator, StopCondition,
+    TelemetryConfig, TrafficProfile,
 };
 use amt_core::mst::healing::run_healing_churned;
-use amt_core::mst::{run_healing_instrumented, run_healing_with};
+use amt_core::mst::{run_healing, run_healing_instrumented};
 use amt_core::prelude::*;
 use amt_core::routing::route_bitfix_churned;
 use amt_core::walks::parallel::degree_proportional_specs;
-use amt_core::walks::{run_walks_healing_churned, run_walks_healing_threaded};
+use amt_core::walks::{run_walks_healing, run_walks_healing_churned};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
 /// A chatty fixed-horizon workload: every node floods a running checksum
 /// for a set number of rounds, folding whatever arrives (corrupted bits
-/// included) into its state, with an RNG-jittered payload so any visit- or
-/// thread-order dependence in the executor or the fault stream would skew
+/// included) into its state, with an RNG-jittered payload so any
+/// visit-order dependence in the executor or the fault stream would skew
 /// the checksums.
 struct Chatter {
     rounds_left: u32,
@@ -70,7 +73,6 @@ impl Protocol for Chatter {
 fn chatter_run(
     g: &Graph,
     plan: &FaultPlan,
-    threads: usize,
     reverse: bool,
 ) -> (Metrics, Vec<FaultEvent>, Vec<NodeId>, Vec<u64>) {
     let nodes = (0..g.len())
@@ -85,8 +87,7 @@ fn chatter_run(
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = if reverse {
         sim.run_reverse_visit(&cfg).unwrap()
     } else {
@@ -107,7 +108,6 @@ fn chatter_run(
 fn profiled_chatter_run(
     g: &Graph,
     plan: &FaultPlan,
-    threads: usize,
     reverse: bool,
 ) -> (
     (Metrics, Vec<FaultEvent>, Vec<NodeId>, Vec<u64>),
@@ -127,8 +127,7 @@ fn profiled_chatter_run(
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = if reverse {
         sim.run_reverse_visit(&cfg).unwrap()
     } else {
@@ -148,6 +147,8 @@ fn profiled_chatter_run(
     )
 }
 
+/// A faulty raw-simulator run replays byte-identically from the same seed
+/// and under node-visit-order reversal.
 #[test]
 fn faulty_sim_runs_are_identical_across_threads_and_visit_order() {
     let mut rng = StdRng::seed_from_u64(61);
@@ -158,7 +159,7 @@ fn faulty_sim_runs_are_identical_across_threads_and_visit_order() {
         .with_corruption(0.03)
         .with_delays(0.1, 3)
         .with_crash(NodeId(5), 4);
-    let baseline = chatter_run(&g, &plan, 1, false);
+    let baseline = chatter_run(&g, &plan, false);
     assert!(
         baseline.0.message_faults() > 0,
         "the plan must actually fire"
@@ -168,17 +169,15 @@ fn faulty_sim_runs_are_identical_across_threads_and_visit_order() {
     // Reversing the node-visit order must not move a single fault: the
     // verdicts are functions of message identity, not of arrival order.
     assert_eq!(
-        chatter_run(&g, &plan, 1, true),
+        chatter_run(&g, &plan, true),
         baseline,
         "visit-order reversal changed the faulty run"
     );
-    for t in &THREADS[1..] {
-        assert_eq!(
-            chatter_run(&g, &plan, *t, false),
-            baseline,
-            "threads {t}: faulty run diverged"
-        );
-    }
+    assert_eq!(
+        chatter_run(&g, &plan, false),
+        baseline,
+        "same-seed replay changed the faulty run"
+    );
 }
 
 /// `chatter_run` with execution-health telemetry attached; additionally
@@ -187,7 +186,6 @@ fn faulty_sim_runs_are_identical_across_threads_and_visit_order() {
 fn telemetry_chatter_run(
     g: &Graph,
     plan: &FaultPlan,
-    threads: usize,
     reverse: bool,
 ) -> (
     (Metrics, Vec<FaultEvent>, Vec<NodeId>, Vec<u64>),
@@ -206,8 +204,7 @@ fn telemetry_chatter_run(
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = if reverse {
         sim.run_reverse_visit(&cfg).unwrap()
     } else {
@@ -228,8 +225,8 @@ fn telemetry_chatter_run(
 
 /// Telemetry on the faulty path: enabling it never moves a fault verdict,
 /// a metric, or a checksum — the telemetry-on run is byte-identical to the
-/// plain faulty run across thread counts {1, 2, 4, 8} and visit-order
-/// reversal — and the layer's logical counters are invariant too.
+/// plain faulty run in either visit order — and the layer's logical
+/// counters are invariant too.
 #[test]
 fn faulty_telemetry_runs_are_identical_across_threads_and_visit_order() {
     let mut rng = StdRng::seed_from_u64(61);
@@ -240,22 +237,15 @@ fn faulty_telemetry_runs_are_identical_across_threads_and_visit_order() {
         .with_corruption(0.03)
         .with_delays(0.1, 3)
         .with_crash(NodeId(5), 4);
-    let baseline = chatter_run(&g, &plan, 1, false);
+    let baseline = chatter_run(&g, &plan, false);
     assert!(baseline.0.message_faults() > 0, "the plan must fire");
-    let logical = |t: &RunTelemetry| {
-        (
-            t.rounds,
-            t.hwm,
-            t.shard_nodes_stepped.iter().sum::<u64>(),
-            t.shard_messages_staged.iter().sum::<u64>(),
-        )
-    };
+    let logical = |t: &RunTelemetry| (t.rounds, t.hwm, t.nodes_stepped, t.messages_staged);
     let mut expected = None;
-    for (threads, reverse) in [(1, false), (1, true), (2, false), (4, false), (8, false)] {
-        let (got, tel) = telemetry_chatter_run(&g, &plan, threads, reverse);
+    for reverse in [false, true] {
+        let (got, tel) = telemetry_chatter_run(&g, &plan, reverse);
         assert_eq!(
             got, baseline,
-            "threads {threads}, reverse {reverse}: telemetry perturbed the faulty run"
+            "reverse {reverse}: telemetry perturbed the faulty run"
         );
         assert_eq!(
             tel.history.len() as u64,
@@ -267,59 +257,16 @@ fn faulty_telemetry_runs_are_identical_across_threads_and_visit_order() {
             Some(e) => assert_eq!(
                 &logical(&tel),
                 e,
-                "threads {threads}, reverse {reverse}: telemetry counters diverged"
+                "reverse {reverse}: telemetry counters diverged"
             ),
         }
     }
 }
 
-/// Faulty runs under an explicit spectral node→shard placement: fault
-/// verdicts are keyed on message identity, so re-sharding the workers must
-/// not move a single fault relative to the single-worker run.
-#[test]
-fn faulty_sim_runs_are_identical_under_spectral_placements() {
-    let mut rng = StdRng::seed_from_u64(61);
-    let g = generators::random_regular(64, 6, &mut rng).unwrap();
-    let plan = FaultPlan::none()
-        .seeded(23)
-        .with_drops(0.05)
-        .with_corruption(0.03)
-        .with_delays(0.1, 3)
-        .with_crash(NodeId(5), 4);
-    let baseline = chatter_run(&g, &plan, 1, false);
-    assert!(baseline.0.message_faults() > 0, "the plan must fire");
-    for t in &THREADS[1..] {
-        let nodes = (0..g.len())
-            .map(|_| Chatter {
-                rounds_left: 30,
-                checksum: 0,
-            })
-            .collect();
-        let mut sim = Simulator::new(&g, nodes, 17)
-            .unwrap()
-            .with_fault_plan(plan.clone())
-            .with_placement(Placement::spectral(&g, *t, 200));
-        let cfg = RunConfig {
-            stop: StopCondition::AllDone,
-            ..RunConfig::default()
-        }
-        .with_threads(*t);
-        let metrics = sim.run(&cfg).unwrap();
-        let checksums: Vec<u64> = sim.nodes().iter().map(|c| c.checksum).collect();
-        let got = (
-            metrics,
-            sim.fault_events().to_vec(),
-            sim.crashed_nodes(),
-            checksums,
-        );
-        assert_eq!(got, baseline, "threads {t}: spectral placement diverged");
-    }
-}
-
 /// Profiler determinism on the faulty path: per-class totals account for
 /// exactly the delivered traffic in `Metrics` and the per-edge loads, the
-/// profile is byte-identical across thread counts and under node-visit-order
-/// reversal, and enabling profiling does not perturb the faulty run.
+/// profile is byte-identical under node-visit-order reversal, and enabling
+/// profiling does not perturb the faulty run.
 #[test]
 fn faulty_profile_sums_exactly_and_survives_threads_and_visit_order() {
     let mut rng = StdRng::seed_from_u64(61);
@@ -331,7 +278,7 @@ fn faulty_profile_sums_exactly_and_survives_threads_and_visit_order() {
         .with_delays(0.1, 3)
         .with_crash(NodeId(5), 4);
 
-    let (run, profile, loads) = profiled_chatter_run(&g, &plan, 1, false);
+    let (run, profile, loads) = profiled_chatter_run(&g, &plan, false);
     assert!(run.0.message_faults() > 0, "the plan must actually fire");
 
     // Exact attribution even with drops/corruption/delays/crashes in play:
@@ -343,24 +290,21 @@ fn faulty_profile_sums_exactly_and_survives_threads_and_visit_order() {
 
     // Profiling off ⇒ the run itself is byte-identical.
     assert_eq!(
-        chatter_run(&g, &plan, 1, false),
+        chatter_run(&g, &plan, false),
         run,
         "enabling the profiler changed the faulty run"
     );
 
-    // Visit-order reversal and every thread count reproduce the profile.
-    let (run_rev, profile_rev, loads_rev) = profiled_chatter_run(&g, &plan, 1, true);
+    // Visit-order reversal reproduces the profile.
+    let (run_rev, profile_rev, loads_rev) = profiled_chatter_run(&g, &plan, true);
     assert_eq!(run_rev, run, "visit-order reversal changed the run");
     assert_eq!(profile_rev, profile, "visit-order reversal moved a class");
     assert_eq!(loads_rev, loads);
-    for t in &THREADS[1..] {
-        let (run_t, profile_t, loads_t) = profiled_chatter_run(&g, &plan, *t, false);
-        assert_eq!(run_t, run, "threads {t}: faulty run diverged");
-        assert_eq!(profile_t, profile, "threads {t}: profile diverged");
-        assert_eq!(loads_t, loads, "threads {t}: edge loads diverged");
-    }
 }
 
+/// The healing walks replay byte-identically from the same seed, and the
+/// churn-aware driver with a trivial churn plan reproduces the churn-free
+/// run exactly.
 #[test]
 fn healing_walks_are_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(62);
@@ -371,27 +315,37 @@ fn healing_walks_are_identical_across_thread_counts() {
         .with_drops(0.05)
         .with_corruption(0.02)
         .with_crash(NodeId(7), 9);
-    let baseline =
-        run_walks_healing_threaded(&g, WalkKind::Lazy, &specs, 5, plan.clone(), 1).unwrap();
+    let baseline = run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan.clone()).unwrap();
     assert!(baseline.metrics.message_faults() > 0);
     assert_eq!(baseline.metrics.crashed, 1);
-    for t in &THREADS[1..] {
-        let run =
-            run_walks_healing_threaded(&g, WalkKind::Lazy, &specs, 5, plan.clone(), *t).unwrap();
+    let replay = run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan.clone()).unwrap();
+    let trivial_churn = run_walks_healing_churned(
+        &g,
+        WalkKind::Lazy,
+        &specs,
+        5,
+        plan.clone(),
+        ChurnPlan::none().seeded(99),
+    )
+    .unwrap();
+    for (label, run) in [("replay", replay), ("trivial churn", trivial_churn)] {
         assert_eq!(
             run.endpoints, baseline.endpoints,
-            "threads {t}: endpoints diverged"
+            "{label}: endpoints diverged"
         );
         assert_eq!(
             run.metrics, baseline.metrics,
-            "threads {t}: metrics (incl. fault counters) diverged"
+            "{label}: metrics (incl. fault counters) diverged"
         );
-        assert_eq!(run.epochs, baseline.epochs, "threads {t}: epochs diverged");
+        assert_eq!(run.epochs, baseline.epochs, "{label}: epochs diverged");
         assert_eq!(run.reissued, baseline.reissued);
         assert_eq!(run.rerouted, baseline.rerouted);
     }
 }
 
+/// The healing Borůvka replays byte-identically from the same seed, and the
+/// churn-aware driver with a trivial churn plan reproduces the churn-free
+/// run exactly.
 #[test]
 fn healing_boruvka_is_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(63);
@@ -402,33 +356,35 @@ fn healing_boruvka_is_identical_across_thread_counts() {
         .with_drops(0.05)
         .with_corruption(0.02)
         .with_crash(NodeId(11), 12);
-    let baseline = run_healing_with(&wg, 3, plan.clone(), 1).unwrap();
+    let baseline = run_healing(&wg, 3, plan.clone()).unwrap();
     assert!(baseline.metrics.message_faults() > 0);
     assert_eq!(baseline.crashed_nodes, vec![NodeId(11)]);
-    for t in &THREADS[1..] {
-        let run = run_healing_with(&wg, 3, plan.clone(), *t).unwrap();
+    let replay = run_healing(&wg, 3, plan.clone()).unwrap();
+    let trivial_churn =
+        run_healing_churned(&wg, 3, plan.clone(), ChurnPlan::none().seeded(99)).unwrap();
+    for (label, run) in [("replay", replay), ("trivial churn", trivial_churn)] {
         assert_eq!(
             run.tree_edges, baseline.tree_edges,
-            "threads {t}: tree diverged"
+            "{label}: tree diverged"
         );
         assert_eq!(run.total_weight, baseline.total_weight);
-        assert_eq!(run.rounds, baseline.rounds, "threads {t}: rounds diverged");
+        assert_eq!(run.rounds, baseline.rounds, "{label}: rounds diverged");
         assert_eq!(run.iterations, baseline.iterations);
         assert_eq!(
             run.phase_restarts, baseline.phase_restarts,
-            "threads {t}: restart schedule diverged"
+            "{label}: restart schedule diverged"
         );
         assert_eq!(run.crashed_nodes, baseline.crashed_nodes);
         assert_eq!(
             run.metrics, baseline.metrics,
-            "threads {t}: metrics (incl. fault counters) diverged"
+            "{label}: metrics (incl. fault counters) diverged"
         );
     }
 }
 
 /// Profiler determinism on the healing Borůvka path: the profile accumulated
 /// across all ARQ phases sums exactly to the outcome's accumulated metrics
-/// and is byte-identical across thread counts {1, 2, 4, 8}.
+/// and is byte-identical across same-seed replays.
 #[test]
 fn healing_boruvka_profile_sums_exactly_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(63);
@@ -439,37 +395,28 @@ fn healing_boruvka_profile_sums_exactly_across_thread_counts() {
         .with_drops(0.05)
         .with_corruption(0.02)
         .with_crash(NodeId(11), 12);
-    let run = |threads| {
-        run_healing_instrumented(
-            &wg,
-            3,
-            plan.clone(),
-            threads,
-            None,
-            Some(ProfileConfig::default()),
-        )
-        .unwrap()
+    let run = || {
+        run_healing_instrumented(&wg, 3, plan.clone(), None, Some(ProfileConfig::default()))
+            .unwrap()
     };
-    let (out, _, profile) = run(1);
+    let (out, _, profile) = run();
     let profile = profile.expect("profiling was enabled");
     assert_eq!(profile.total_messages(), out.metrics.messages);
     assert_eq!(profile.total_bits(), out.metrics.bits);
 
     // Profiling must not perturb the healing run itself.
-    let plain = run_healing_with(&wg, 3, plan.clone(), 1).unwrap();
+    let plain = run_healing(&wg, 3, plan.clone()).unwrap();
     assert_eq!(plain.tree_edges, out.tree_edges);
     assert_eq!(plain.metrics, out.metrics);
 
-    for t in &THREADS[1..] {
-        let (out_t, _, profile_t) = run(*t);
-        assert_eq!(out_t.tree_edges, out.tree_edges);
-        assert_eq!(out_t.metrics, out.metrics, "threads {t}: metrics diverged");
-        assert_eq!(
-            profile_t.as_ref(),
-            Some(&profile),
-            "threads {t}: profile diverged"
-        );
-    }
+    let (out_r, _, profile_r) = run();
+    assert_eq!(out_r.tree_edges, out.tree_edges);
+    assert_eq!(out_r.metrics, out.metrics, "replay: metrics diverged");
+    assert_eq!(
+        profile_r.as_ref(),
+        Some(&profile),
+        "replay: profile diverged"
+    );
 }
 
 /// `chatter_run` with a topology-churn plan stacked on the fault plan;
@@ -479,7 +426,6 @@ fn churned_chatter_run(
     g: &Graph,
     plan: &FaultPlan,
     churn: &ChurnPlan,
-    threads: usize,
     reverse: bool,
 ) -> (
     Metrics,
@@ -501,8 +447,7 @@ fn churned_chatter_run(
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = if reverse {
         sim.run_reverse_visit(&cfg).unwrap()
     } else {
@@ -521,9 +466,9 @@ fn churned_chatter_run(
 /// The churned raw-simulator contract: churn verdicts are keyed on
 /// `(churn_seed, round, edge)` exactly as fault verdicts are keyed on
 /// message identity, so stacking flaps, an outage, and a crash-restart on
-/// top of the full fault plan moves nothing across thread counts or under
-/// node-visit-order reversal — metrics, both event logs, and every node's
-/// RNG-sensitive checksum included.
+/// top of the full fault plan moves nothing across same-seed replays or
+/// under node-visit-order reversal — metrics, both event logs, and every
+/// node's RNG-sensitive checksum included.
 #[test]
 fn churned_sim_runs_are_identical_across_threads_and_visit_order() {
     let mut rng = StdRng::seed_from_u64(61);
@@ -539,7 +484,7 @@ fn churned_sim_runs_are_identical_across_threads_and_visit_order() {
         .with_flaps(0.05, 4)
         .with_edge_outage(EdgeId(2), 3, 6)
         .with_restart(NodeId(9), 6, 4);
-    let baseline = churned_chatter_run(&g, &plan, &churn, 1, false);
+    let baseline = churned_chatter_run(&g, &plan, &churn, false);
     assert!(
         baseline.0.lost_to_churn > 0 && baseline.0.restarts == 1,
         "the churn plan must actually bite: {:?}",
@@ -549,22 +494,20 @@ fn churned_sim_runs_are_identical_across_threads_and_visit_order() {
     assert!(!baseline.2.is_empty(), "churn events must be logged");
 
     assert_eq!(
-        churned_chatter_run(&g, &plan, &churn, 1, true),
+        churned_chatter_run(&g, &plan, &churn, true),
         baseline,
         "visit-order reversal changed the churned run"
     );
-    for t in &THREADS[1..] {
-        assert_eq!(
-            churned_chatter_run(&g, &plan, &churn, *t, false),
-            baseline,
-            "threads {t}: churned run diverged"
-        );
-    }
+    assert_eq!(
+        churned_chatter_run(&g, &plan, &churn, false),
+        baseline,
+        "same-seed replay changed the churned run"
+    );
 }
 
 /// The churned healing walks replay byte-identically — the full outcome
 /// struct (endpoints, metrics with churn counters, epochs, healing work,
-/// and the recovery timeline) — at thread counts {1, 2, 4, 8}.
+/// and the recovery timeline) — from the same seed.
 #[test]
 fn churned_healing_walks_are_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(62);
@@ -575,35 +518,17 @@ fn churned_healing_walks_are_identical_across_thread_counts() {
         .seeded(53)
         .with_flaps(0.05, 4)
         .with_restart(NodeId(7), 5, 4);
-    let baseline = run_walks_healing_churned(
-        &g,
-        WalkKind::Lazy,
-        &specs,
-        5,
-        plan.clone(),
-        churn.clone(),
-        1,
-    )
-    .unwrap();
+    let run = || {
+        run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 5, plan.clone(), churn.clone())
+            .unwrap()
+    };
+    let baseline = run();
     assert!(baseline.metrics.lost_to_churn > 0 || baseline.metrics.restarts > 0);
-    for t in &THREADS[1..] {
-        let run = run_walks_healing_churned(
-            &g,
-            WalkKind::Lazy,
-            &specs,
-            5,
-            plan.clone(),
-            churn.clone(),
-            *t,
-        )
-        .unwrap();
-        assert_eq!(run, baseline, "threads {t}: churned walks diverged");
-    }
+    assert_eq!(run(), baseline, "replay: churned walks diverged");
 }
 
 /// The churned healing Borůvka replays byte-identically — tree, cut-edge
-/// bookkeeping, metrics, and the recovery timeline — at thread counts
-/// {1, 2, 4, 8}.
+/// bookkeeping, metrics, and the recovery timeline — from the same seed.
 #[test]
 fn churned_healing_boruvka_is_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(63);
@@ -614,17 +539,15 @@ fn churned_healing_boruvka_is_identical_across_thread_counts() {
         .seeded(59)
         .with_flaps(0.05, 4)
         .with_restart(NodeId(11), 4, 5);
-    let baseline = run_healing_churned(&wg, 3, plan.clone(), churn.clone(), 1).unwrap();
+    let run = || run_healing_churned(&wg, 3, plan.clone(), churn.clone()).unwrap();
+    let baseline = run();
     assert!(baseline.metrics.lost_to_churn > 0 || baseline.metrics.restarts > 0);
-    for t in &THREADS[1..] {
-        let run = run_healing_churned(&wg, 3, plan.clone(), churn.clone(), *t).unwrap();
-        assert_eq!(run, baseline, "threads {t}: churned boruvka diverged");
-    }
+    assert_eq!(run(), baseline, "replay: churned boruvka diverged");
 }
 
 /// The churned bit-fix router replays byte-identically — endpoints,
-/// reroute counter, epoch count, metrics, and the recovery timeline — at
-/// thread counts {1, 2, 4, 8}.
+/// reroute counter, epoch count, metrics, and the recovery timeline — from
+/// the same seed.
 #[test]
 fn churned_bitfix_routing_is_identical_across_thread_counts() {
     let g = generators::hypercube(6);
@@ -635,10 +558,8 @@ fn churned_bitfix_routing_is_identical_across_thread_counts() {
         .seeded(67)
         .with_flaps(0.08, 3)
         .with_restart(NodeId(6), 1, 4);
-    let baseline = route_bitfix_churned(&g, &reqs, 12, churn.clone(), 1).unwrap();
+    let run = || route_bitfix_churned(&g, &reqs, 12, churn.clone()).unwrap();
+    let baseline = run();
     assert!(baseline.rerouted > 0 || baseline.metrics.lost_to_churn > 0);
-    for t in &THREADS[1..] {
-        let run = route_bitfix_churned(&g, &reqs, 12, churn.clone(), *t).unwrap();
-        assert_eq!(run, baseline, "threads {t}: churned routing diverged");
-    }
+    assert_eq!(run(), baseline, "replay: churned routing diverged");
 }

@@ -1,63 +1,70 @@
 //! Acceptance tests for the simulator's determinism contract: protocol
-//! results and `Metrics` are byte-identical across worker-thread counts
-//! {1, 2, 4, 8} for the same seed, on the repo's real workloads (parallel
-//! walks, Boruvka MST) and a routing-style packet-forwarding protocol —
-//! including that workload under a pure topology-churn plan, where the
-//! loss pattern itself is part of the contract.
+//! results and `Metrics` are byte-identical under node-visit-order
+//! reversal and across same-seed replays, on the repo's real workloads
+//! (parallel walks, Boruvka MST) and a routing-style packet-forwarding
+//! protocol — including that workload under a pure topology-churn plan,
+//! where the loss pattern itself is part of the contract.
+//!
+//! Several test names still say "across thread counts": the names are
+//! kept stable for test tracking, and each doc comment states the axis the
+//! test now compares.
 
 use amt_core::congest::{
-    class, Ctx, Metrics, Placement, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
+    class, Ctx, Metrics, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
     StopCondition, TelemetryConfig,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
-use amt_core::walks::congest_exec::run_walks_in_congest_threaded;
+use amt_core::walks::congest_exec::run_walks_in_congest;
 use amt_core::walks::parallel::degree_proportional_specs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
+/// CONGEST-executed walks replay byte-identically (endpoints and metrics)
+/// from the same seed. The driver exposes no visit-order hook; the
+/// engine-level axes are covered by the routing tests below.
 #[test]
 fn walk_runs_are_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(31);
     let g = generators::random_regular(96, 6, &mut rng).unwrap();
     let specs = degree_proportional_specs(&g, 3, 24);
     for seed in [0u64, 7, 1234] {
-        let baseline = run_walks_in_congest_threaded(&g, WalkKind::Lazy, &specs, seed, 1).unwrap();
-        for t in &THREADS[1..] {
-            let run = run_walks_in_congest_threaded(&g, WalkKind::Lazy, &specs, seed, *t).unwrap();
-            assert_eq!(
-                run.endpoints, baseline.endpoints,
-                "seed {seed}, threads {t}: endpoints diverged"
-            );
-            assert_eq!(
-                run.metrics, baseline.metrics,
-                "seed {seed}, threads {t}: metrics diverged"
-            );
-        }
+        let baseline = run_walks_in_congest(&g, WalkKind::Lazy, &specs, seed).unwrap();
+        let run = run_walks_in_congest(&g, WalkKind::Lazy, &specs, seed).unwrap();
+        assert_eq!(
+            run.endpoints, baseline.endpoints,
+            "seed {seed}: endpoints diverged"
+        );
+        assert_eq!(
+            run.metrics, baseline.metrics,
+            "seed {seed}: metrics diverged"
+        );
     }
 }
 
+/// Simulator Borůvka matches Kruskal, replays byte-identically from the
+/// same seed, and is unchanged by turning traffic profiling on.
 #[test]
 fn boruvka_runs_are_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(77);
     let g = generators::connected_erdos_renyi(64, 0.1, 50, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 1000, &mut rng);
     for seed in [2u64, 99] {
-        let baseline = congest_boruvka::run_with(&wg, seed, 1).unwrap();
+        let baseline = congest_boruvka::run(&wg, seed).unwrap();
         assert_eq!(
             baseline.tree_edges,
             amt_core::mst::reference::kruskal(&wg).unwrap()
         );
-        for t in &THREADS[1..] {
-            let run = congest_boruvka::run_with(&wg, seed, *t).unwrap();
+        let replay = congest_boruvka::run(&wg, seed).unwrap();
+        let (profiled, _) =
+            congest_boruvka::run_instrumented(&wg, seed, Some(ProfileConfig::default())).unwrap();
+        for (label, run) in [("replay", replay), ("profiled", profiled)] {
             assert_eq!(run.tree_edges, baseline.tree_edges);
             assert_eq!(run.total_weight, baseline.total_weight);
-            assert_eq!(run.rounds, baseline.rounds, "threads {t}: rounds diverged");
+            assert_eq!(run.rounds, baseline.rounds, "{label}: rounds diverged");
             assert_eq!(
                 run.messages, baseline.messages,
-                "threads {t}: messages diverged"
+                "{label}: messages diverged"
             );
             assert_eq!(run.iterations, baseline.iterations);
         }
@@ -319,14 +326,16 @@ impl Protocol for BitFixRouter {
     }
 }
 
+/// The routing workload is byte-identical (metrics and every node's
+/// delivery state) under node-visit-order reversal.
 #[test]
 fn routing_runs_are_identical_across_thread_counts() {
     let dim = 6;
     let n = 1usize << dim;
     let g = generators::hypercube(dim as u32);
-    let run = |seed: u64, threads: usize| -> (Metrics, Vec<(u64, u64)>) {
+    let run = |seed: u64, reverse: bool| -> (Metrics, Vec<(u64, u64)>) {
         use rand::RngExt;
-        // The workload itself is seed-derived but thread-independent.
+        // The workload itself is seed-derived but visit-order-independent.
         let mut wl = StdRng::seed_from_u64(seed ^ 0xD1CE);
         let nodes = (0..n)
             .map(|v| BitFixRouter {
@@ -342,9 +351,12 @@ fn routing_runs_are_identical_across_thread_counts() {
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(threads);
-        let m = sim.run(&cfg).unwrap();
+        };
+        let m = if reverse {
+            sim.run_reverse_visit(&cfg).unwrap()
+        } else {
+            sim.run(&cfg).unwrap()
+        };
         let state = sim
             .nodes()
             .iter()
@@ -353,83 +365,22 @@ fn routing_runs_are_identical_across_thread_counts() {
         (m, state)
     };
     for seed in [3u64, 41] {
-        let (m1, s1) = run(seed, 1);
+        let (m1, s1) = run(seed, false);
         assert_eq!(
             s1.iter().map(|&(d, _)| d).sum::<u64>(),
             4 * n as u64,
             "every packet must arrive"
         );
-        for t in &THREADS[1..] {
-            let (mt, st) = run(seed, *t);
-            assert_eq!(mt, m1, "seed {seed}, threads {t}: metrics diverged");
-            assert_eq!(st, s1, "seed {seed}, threads {t}: node state diverged");
-        }
-    }
-}
-
-/// The routing workload under explicit node→shard placements: a spectral
-/// placement (and a deliberately non-monotone round-robin striping) changes
-/// which worker owns each node and the splice order the coordinator must
-/// undo, but placement is run configuration, not semantics — metrics and
-/// node state stay byte-identical to the single-worker run.
-#[test]
-fn routing_runs_are_identical_under_explicit_placements() {
-    let dim = 6;
-    let n = 1usize << dim;
-    let g = generators::hypercube(dim as u32);
-    let run = |seed: u64, threads: usize, placement: Option<Placement>| {
-        use rand::RngExt;
-        let mut wl = StdRng::seed_from_u64(seed ^ 0xD1CE);
-        let nodes = (0..n)
-            .map(|v| BitFixRouter {
-                me: v as u32,
-                packets: (0..4)
-                    .map(|_| wl.random_range(0..n as u64) as u32)
-                    .collect(),
-                delivered: 0,
-                checksum: 0,
-            })
-            .collect();
-        let mut sim = Simulator::new(&g, nodes, seed).unwrap();
-        if let Some(p) = placement {
-            sim = sim.with_placement(p);
-        }
-        let cfg = RunConfig {
-            stop: StopCondition::AllDone,
-            ..RunConfig::default()
-        }
-        .with_threads(threads);
-        let m = sim.run(&cfg).unwrap();
-        let state: Vec<(u64, u64)> = sim
-            .nodes()
-            .iter()
-            .map(|p| (p.delivered, p.checksum))
-            .collect();
-        (m, state)
-    };
-    let seed = 3u64;
-    let baseline = run(seed, 1, None);
-    for t in &THREADS[1..] {
-        let spectral = Placement::spectral(&g, *t, 200);
-        assert_eq!(
-            run(seed, *t, Some(spectral)),
-            baseline,
-            "threads {t}: spectral placement diverged"
-        );
-        let stripes: Vec<u32> = (0..n as u32).map(|v| v % *t as u32).collect();
-        let striped = Placement::from_shard_of(stripes, *t).unwrap();
-        assert_eq!(
-            run(seed, *t, Some(striped)),
-            baseline,
-            "threads {t}: striped placement diverged"
-        );
+        let (mr, sr) = run(seed, true);
+        assert_eq!(mr, m1, "seed {seed}: metrics diverged under reversal");
+        assert_eq!(sr, s1, "seed {seed}: node state diverged under reversal");
     }
 }
 
 /// Traffic profiling on the clean paths: per-class totals sum exactly to
 /// the run's `Metrics` and per-edge loads, the profile is byte-identical
-/// across thread counts {1, 2, 4, 8}, and turning profiling on never
-/// changes the run itself.
+/// under node-visit-order reversal, and turning profiling on never changes
+/// the run itself.
 #[test]
 fn profiled_runs_sum_exactly_and_are_identical_across_thread_counts() {
     let dim = 5;
@@ -449,22 +400,23 @@ fn profiled_runs_sum_exactly_and_are_identical_across_thread_counts() {
             })
             .collect::<Vec<_>>()
     };
-    let cfg = |threads| {
-        RunConfig {
-            stop: StopCondition::AllDone,
-            ..RunConfig::default()
-        }
-        .with_threads(threads)
+    let cfg = RunConfig {
+        stop: StopCondition::AllDone,
+        ..RunConfig::default()
     };
-    let run_profiled = |threads: usize| {
+    let run_profiled = |reverse: bool| {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8)
             .unwrap()
             .with_profile(ProfileConfig::default());
-        let m = sim.run(&cfg(threads)).unwrap();
+        let m = if reverse {
+            sim.run_reverse_visit(&cfg).unwrap()
+        } else {
+            sim.run(&cfg).unwrap()
+        };
         let loads = sim.edge_load().to_vec();
         (m, sim.take_profile().unwrap(), loads)
     };
-    let (m, profile, loads) = run_profiled(1);
+    let (m, profile, loads) = run_profiled(false);
 
     // Exact attribution: the per-class sums ARE the metrics totals.
     assert_eq!(profile.total_messages(), m.messages);
@@ -476,23 +428,21 @@ fn profiled_runs_sum_exactly_and_are_identical_across_thread_counts() {
 
     // Profiling off ⇒ byte-identical metrics and state.
     let mut plain = Simulator::new(&g, mk_nodes(8), 8).unwrap();
-    let m_plain = plain.run(&cfg(1)).unwrap();
+    let m_plain = plain.run(&cfg).unwrap();
     assert_eq!(m_plain, m, "profiling changed the run");
     assert_eq!(plain.edge_load(), &loads[..]);
 
-    for t in &THREADS[1..] {
-        let (mt, pt, lt) = run_profiled(*t);
-        assert_eq!(mt, m, "threads {t}: metrics diverged");
-        assert_eq!(pt, profile, "threads {t}: profile diverged");
-        assert_eq!(lt, loads, "threads {t}: edge loads diverged");
-    }
+    let (mr, pr, lr) = run_profiled(true);
+    assert_eq!(mr, m, "metrics diverged under reversal");
+    assert_eq!(pr, profile, "profile diverged under reversal");
+    assert_eq!(lr, loads, "edge loads diverged under reversal");
 }
 
 /// Execution-health telemetry on the routing workload: enabling it never
 /// moves an observable bit — metrics and node state are byte-identical to
-/// the telemetry-off run at every thread count {1, 2, 4, 8} — and the
-/// layer's own logical counters (rounds, work totals, gauge high-water
-/// marks) are thread-invariant. Host wall-times are exempt by contract.
+/// the telemetry-off run in either visit order — and the layer's own
+/// logical counters (rounds, work totals, gauge high-water marks) are
+/// visit-order-invariant. Host wall-times are exempt by contract.
 #[test]
 fn telemetry_runs_are_identical_across_thread_counts() {
     let dim = 5;
@@ -512,7 +462,7 @@ fn telemetry_runs_are_identical_across_thread_counts() {
             })
             .collect::<Vec<_>>()
     };
-    let run = |threads: usize, telemetry: bool| {
+    let run = |reverse: bool, telemetry: bool| {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8).unwrap();
         if telemetry {
             sim = sim.with_telemetry(TelemetryConfig::default());
@@ -520,9 +470,12 @@ fn telemetry_runs_are_identical_across_thread_counts() {
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(threads);
-        let m = sim.run(&cfg).unwrap();
+        };
+        let m = if reverse {
+            sim.run_reverse_visit(&cfg).unwrap()
+        } else {
+            sim.run(&cfg).unwrap()
+        };
         let state: Vec<(u64, u64)> = sim
             .nodes()
             .iter()
@@ -530,26 +483,18 @@ fn telemetry_runs_are_identical_across_thread_counts() {
             .collect();
         (m, state, sim.take_telemetry())
     };
-    let logical = |t: &RunTelemetry| {
-        (
-            t.rounds,
-            t.hwm,
-            t.shard_nodes_stepped.iter().sum::<u64>(),
-            t.shard_messages_staged.iter().sum::<u64>(),
-        )
-    };
-    let (m_plain, s_plain, none) = run(1, false);
+    let logical = |t: &RunTelemetry| (t.rounds, t.hwm, t.nodes_stepped, t.messages_staged);
+    let (m_plain, s_plain, none) = run(false, false);
     assert!(none.is_none(), "telemetry off must record nothing");
     let mut expected = None;
-    for &t in &THREADS {
-        let (mt, st, tel) = run(t, true);
+    for reverse in [false, true] {
+        let (mt, st, tel) = run(reverse, true);
         assert_eq!(
             (&mt, &st),
             (&m_plain, &s_plain),
-            "threads {t}: telemetry perturbed the run"
+            "reverse = {reverse}: telemetry perturbed the run"
         );
         let tel = tel.expect("telemetry was enabled");
-        assert_eq!(tel.shards, t.min(n), "threads {t}: shard count");
         assert_eq!(
             tel.history.len() as u64,
             tel.rounds + 1,
@@ -560,7 +505,7 @@ fn telemetry_runs_are_identical_across_thread_counts() {
             Some(e) => assert_eq!(
                 &logical(&tel),
                 e,
-                "threads {t}: telemetry logical counters diverged"
+                "reverse = {reverse}: telemetry logical counters diverged"
             ),
         }
     }
@@ -570,7 +515,7 @@ fn telemetry_runs_are_identical_across_thread_counts() {
 /// flaps and a crash-restart lose some packets, but the loss pattern is a
 /// pure function of `(churn_seed, round, edge)`, so metrics, the
 /// churn-event log, and every node's delivery checksum are byte-identical
-/// across thread counts {1, 2, 4, 8} and under node-visit-order reversal.
+/// across same-seed replays and under node-visit-order reversal.
 #[test]
 fn churned_routing_workload_is_identical_across_threads_and_visit_order() {
     let dim = 6;
@@ -580,7 +525,7 @@ fn churned_routing_workload_is_identical_across_threads_and_visit_order() {
         .seeded(71)
         .with_flaps(0.06, 4)
         .with_restart(NodeId(9), 3, 5);
-    let run = |threads: usize, reverse: bool| {
+    let run = |reverse: bool| {
         use rand::RngExt;
         let mut wl = StdRng::seed_from_u64(0xD1CE);
         let nodes = (0..n)
@@ -599,8 +544,7 @@ fn churned_routing_workload_is_identical_across_threads_and_visit_order() {
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(threads);
+        };
         let m = if reverse {
             sim.run_reverse_visit(&cfg).unwrap()
         } else {
@@ -613,57 +557,48 @@ fn churned_routing_workload_is_identical_across_threads_and_visit_order() {
             .collect();
         (m, sim.churn_events().to_vec(), state)
     };
-    let baseline = run(1, false);
+    let baseline = run(false);
     assert!(
         baseline.0.lost_to_churn > 0 && baseline.0.restarts == 1,
         "the churn plan must actually bite: {:?}",
         baseline.0
     );
+    assert_eq!(run(false), baseline, "same-seed replay diverged");
     assert_eq!(
-        run(1, true),
+        run(true),
         baseline,
         "visit-order reversal changed the churned routing workload"
     );
-    for t in &THREADS[1..] {
-        assert_eq!(
-            run(*t, false),
-            baseline,
-            "threads {t}: churned routing workload diverged"
-        );
-    }
 }
 
 /// Traffic profiling across a whole multi-simulator driver (clean Borůvka):
 /// the accumulated profile splits candidate from label floods, sums exactly
-/// to the outcome's message count, and is identical across thread counts.
+/// to the outcome's message count, and is identical across same-seed
+/// replays.
 #[test]
 fn profiled_boruvka_accumulates_exactly_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(78);
     let g = generators::connected_erdos_renyi(48, 0.12, 50, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 1000, &mut rng);
-    let run = |threads: usize| {
-        congest_boruvka::run_instrumented(&wg, 4, threads, Some(ProfileConfig::default())).unwrap()
-    };
-    let (out, profile) = run(1);
+    let run = || congest_boruvka::run_instrumented(&wg, 4, Some(ProfileConfig::default())).unwrap();
+    let (out, profile) = run();
     let profile = profile.expect("profiling was enabled");
     assert_eq!(profile.total_messages(), out.messages);
     assert!(profile.stats(class::MST_FLOOD).is_some());
     assert!(profile.stats(class::MST_LABEL).is_some());
 
     // Profiling must not perturb the outcome.
-    let plain = congest_boruvka::run_with(&wg, 4, 1).unwrap();
+    let plain = congest_boruvka::run(&wg, 4).unwrap();
     assert_eq!(plain.tree_edges, out.tree_edges);
     assert_eq!(plain.rounds, out.rounds);
     assert_eq!(plain.messages, out.messages);
 
-    for t in &THREADS[1..] {
-        let (out_t, profile_t) = run(*t);
-        assert_eq!(out_t.tree_edges, out.tree_edges);
-        assert_eq!(out_t.rounds, out.rounds, "threads {t}: rounds diverged");
-        assert_eq!(
-            profile_t.as_ref(),
-            Some(&profile),
-            "threads {t}: profile diverged"
-        );
-    }
+    let (out_r, profile_r) = run();
+    assert_eq!(out_r.tree_edges, out.tree_edges);
+    assert_eq!(out_r.rounds, out.rounds, "replay: rounds diverged");
+    assert_eq!(
+        profile_r.as_ref(),
+        Some(&profile),
+        "replay: profile diverged"
+    );
 }

@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the hot substrates: k-wise hashing,
-//! parallel-walk scheduling, path routing, level-0 construction, one
-//! routing instance, and an end-to-end MST at fixed size.
+//! parallel-walk scheduling, path routing (many small calls and one
+//! full-round-sized call), level-0 construction, one routing instance, and
+//! an end-to-end MST at fixed size.
 
-use amt_bench::{expander, tau_estimate};
+use amt_bench::{expander, scaled_levels, tau_estimate};
 use amt_core::kwise::PartitionHash;
 use amt_core::prelude::*;
 use amt_core::walks::parallel::{degree_proportional_specs, run_parallel_walks};
@@ -45,6 +46,24 @@ fn bench_path_router(c: &mut Criterion) {
         .collect();
     c.bench_function("schedule/route_2k_paths_len8", |b| {
         b.iter(|| route_paths(black_box(&paths), 1).rounds)
+    });
+
+    // One large call: the level-0 full-round instance of an n=256
+    // hierarchy (every overlay edge in both directions), the shape the
+    // build prices once per level.
+    let g = expander(256, 6, 1);
+    let mut cfg = HierarchyConfig::auto(&g, tau_estimate(&g), 1);
+    cfg.beta = 4;
+    cfg.levels = scaled_levels(g.volume(), 4);
+    let h = Hierarchy::build(&g, cfg).unwrap();
+    let ov = h.overlay(0);
+    let full_round: Vec<Vec<u64>> = ov
+        .graph()
+        .edges()
+        .flat_map(|(e, _, _)| [ov.key_path(e, true), ov.key_path(e, false)])
+        .collect();
+    c.bench_function("schedule/full_round_l0_n256", |b| {
+        b.iter(|| route_paths(black_box(&full_round), 1).rounds)
     });
 }
 

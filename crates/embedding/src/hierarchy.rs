@@ -8,7 +8,7 @@ use crate::{
 use amt_congest::PhaseTimings;
 use amt_graphs::{traversal, EdgeId, Graph, GraphBuilder, NodeId};
 use amt_kwise::PartitionHash;
-use amt_walks::{parallel, route_paths, route_paths_schedule, WalkKind, WalkSpec};
+use amt_walks::{parallel, route_paths, route_paths_each, WalkKind, WalkSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -583,27 +583,10 @@ impl<'g> Hierarchy<'g> {
 
     /// Measured base-round cost of delivering messages along *multi-hop*
     /// paths of level-`p` edges: the level-`p` store-and-forward schedule is
-    /// computed first, then each of its rounds (a batch of single crossings)
-    /// is priced by [`Hierarchy::emulate_batch`].
+    /// streamed, and each of its rounds (a batch of single crossings) is
+    /// priced by [`Hierarchy::emulate_batch`].
     pub fn emulate_paths(&self, level: u32, paths: &[Vec<(EdgeId, bool)>]) -> u64 {
-        if paths.iter().all(Vec::is_empty) {
-            return 0;
-        }
-        let key_paths: Vec<Vec<u64>> = paths
-            .iter()
-            .map(|p| p.iter().map(|&(e, f)| dir_key(e, f)).collect())
-            .collect();
-        let (_, schedule) = route_paths_schedule(&key_paths, 1);
-        schedule
-            .iter()
-            .map(|keys| {
-                let batch: Vec<(EdgeId, bool)> = keys
-                    .iter()
-                    .map(|&k| (key_edge(k), key_is_forward(k)))
-                    .collect();
-                self.emulate_batch(level, &batch)
-            })
-            .sum()
+        self.emulate_paths_with(level, paths, Self::emulate_batch)
     }
 
     /// Like [`Hierarchy::emulate_paths`], but with every schedule round
@@ -611,6 +594,18 @@ impl<'g> Hierarchy<'g> {
     /// instead of the conservative full-round factoring. Tighter but slower
     /// to simulate.
     pub fn emulate_paths_exact(&self, level: u32, paths: &[Vec<(EdgeId, bool)>]) -> u64 {
+        self.emulate_paths_with(level, paths, Self::emulate_batch_exact)
+    }
+
+    /// Shared body of `emulate_paths{,_exact}`: schedules
+    /// `paths` over level-`level` directed edges and sums `price` over the
+    /// rounds.
+    fn emulate_paths_with(
+        &self,
+        level: u32,
+        paths: &[Vec<(EdgeId, bool)>],
+        price: fn(&Self, u32, &[(EdgeId, bool)]) -> u64,
+    ) -> u64 {
         if paths.iter().all(Vec::is_empty) {
             return 0;
         }
@@ -618,17 +613,7 @@ impl<'g> Hierarchy<'g> {
             .iter()
             .map(|p| p.iter().map(|&(e, f)| dir_key(e, f)).collect())
             .collect();
-        let (_, schedule) = route_paths_schedule(&key_paths, 1);
-        schedule
-            .iter()
-            .map(|keys| {
-                let batch: Vec<(EdgeId, bool)> = keys
-                    .iter()
-                    .map(|&k| (key_edge(k), key_is_forward(k)))
-                    .collect();
-                self.emulate_batch_exact(level, &batch)
-            })
-            .sum()
+        price_rounds(&key_paths, |batch| price(self, level, batch))
     }
 
     /// Exact recursive emulation: every schedule round of level-`p` traffic
@@ -645,17 +630,7 @@ impl<'g> Hierarchy<'g> {
         if level == 0 {
             return route_paths(&paths, 1).rounds;
         }
-        let (_, schedule) = route_paths_schedule(&paths, 1);
-        schedule
-            .iter()
-            .map(|keys| {
-                let sub: Vec<(EdgeId, bool)> = keys
-                    .iter()
-                    .map(|&k| (key_edge(k), key_is_forward(k)))
-                    .collect();
-                self.emulate_batch_exact(level - 1, &sub)
-            })
-            .sum()
+        price_rounds(&paths, |sub| self.emulate_batch_exact(level - 1, sub))
     }
 
     /// BFS path between two virtual nodes in the `level` overlay, as
@@ -673,6 +648,20 @@ impl<'g> Hierarchy<'g> {
                 .collect()
         })
     }
+}
+
+/// Streams the unit-capacity schedule of `paths` (directed-edge keys) and
+/// sums `price` over its rounds, each decoded into directed edge crossings
+/// in one reused buffer.
+fn price_rounds(paths: &[Vec<u64>], mut price: impl FnMut(&[(EdgeId, bool)]) -> u64) -> u64 {
+    let mut batch: Vec<(EdgeId, bool)> = Vec::new();
+    let mut cost = 0;
+    route_paths_each(paths, 1, |keys| {
+        batch.clear();
+        batch.extend(keys.iter().map(|&k| (key_edge(k), key_is_forward(k))));
+        cost += price(&batch);
+    });
+    cost
 }
 
 /// BFS path from `from` to `to` as directed keys, or `None` if unreachable.

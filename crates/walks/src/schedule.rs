@@ -11,10 +11,18 @@
 //! The computed schedule is FIFO per key (ties broken by token id), which is
 //! within a constant factor of the optimal makespan for store-and-forward
 //! routing and is exactly what a distributed execution with per-edge queues
-//! would do.
+//! would do. Within a round, keys are served in ascending key order, so the
+//! per-round key sequence is deterministic.
+//!
+//! Each call works on flat arenas: the keys are renumbered to dense `u32`
+//! ids in ascending key order, the paths are stored once as CSR
+//! (`offs`/`flat` over ids), each key's FIFO is an intrusive
+//! `head`/`tail`/`next[token]` list, and one reused buffer holds the keys
+//! crossed in the current round, which [`route_paths_each`] streams to the
+//! caller instead of materialising the schedule.
 
 use amt_congest::PhaseTimings;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Measured statistics of one [`route_paths`] schedule.
@@ -31,7 +39,8 @@ pub struct PathRouteStats {
     /// for interface clarity when capacities drop tokens — they never do).
     pub dilation: u64,
     /// Host wall-clock time of the schedule computation (`"schedule"`
-    /// entry); excluded from equality like all [`PhaseTimings`].
+    /// entry, including the time spent in a [`route_paths_each`]
+    /// callback); excluded from equality like all [`PhaseTimings`].
     pub wall: PhaseTimings,
 }
 
@@ -58,89 +67,194 @@ pub struct PathRouteStats {
 /// assert_eq!(stats.max_key_congestion, 3);
 /// ```
 pub fn route_paths(paths: &[Vec<u64>], capacity: u32) -> PathRouteStats {
-    route_paths_schedule(paths, capacity).0
+    route_paths_each(paths, capacity, |_| {})
 }
 
 /// Like [`route_paths`], but also returns the schedule itself: for each
-/// round, the multiset of keys crossed in that round.
+/// round, the multiset of keys crossed in that round (in the order of
+/// [`route_paths_each`]).
+pub fn route_paths_schedule(paths: &[Vec<u64>], capacity: u32) -> (PathRouteStats, Vec<Vec<u64>>) {
+    let mut schedule = Vec::new();
+    let stats = route_paths_each(paths, capacity, |keys| schedule.push(keys.to_vec()));
+    (stats, schedule)
+}
+
+/// Like [`route_paths`], but hands each round's crossed keys to `on_round`
+/// as soon as the round is scheduled, without materialising the schedule.
+///
+/// `on_round` is called once per round, in round order. Its slice lists the
+/// keys in ascending key order, each key once per token that crossed it,
+/// and the tokens of one key leave in FIFO order with ties broken by token
+/// id. The slice is only valid for the call.
 ///
 /// The hierarchical embedding uses this to *recursively* price overlay
 /// emulation: a round of level-`p` crossings becomes a batch of level-`(p−1)`
 /// messages, routed (and priced) by the same machinery one level down.
-pub fn route_paths_schedule(paths: &[Vec<u64>], capacity: u32) -> (PathRouteStats, Vec<Vec<u64>>) {
+///
+/// # Panics
+///
+/// Panics if `capacity == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use amt_walks::route_paths_each;
+/// let paths = vec![vec![7, 1], vec![7, 2]];
+/// let mut rounds = Vec::new();
+/// let stats = route_paths_each(&paths, 1, |keys| rounds.push(keys.to_vec()));
+/// assert_eq!(rounds, vec![vec![7], vec![1, 7], vec![2]]);
+/// assert_eq!(stats.rounds, 3);
+/// ```
+pub fn route_paths_each(
+    paths: &[Vec<u64>],
+    capacity: u32,
+    mut on_round: impl FnMut(&[u64]),
+) -> PathRouteStats {
     assert!(capacity > 0, "capacity must be positive");
     let started = Instant::now();
-    let mut queues: HashMap<u64, VecDeque<u32>> = HashMap::new();
-    let mut congestion: HashMap<u64, u64> = HashMap::new();
-    let mut pos: Vec<u32> = vec![0; paths.len()];
-    let mut remaining = 0usize;
-    let mut dilation = 0u64;
-    for (i, p) in paths.iter().enumerate() {
-        dilation += p.len() as u64;
-        if !p.is_empty() {
-            queues.entry(p[0]).or_default().push_back(i as u32);
-            remaining += 1;
-        }
-        for &k in p {
-            *congestion.entry(k).or_insert(0) += 1;
-        }
-    }
-    let mut active: Vec<u64> = queues.keys().copied().collect();
-    active.sort_unstable(); // determinism
+    let arena = PathArena::new(paths);
+    let PathArena { keys, offs, flat } = &arena;
+    let tokens = paths.len();
+    let mut head = vec![NIL; keys.len()];
+    let mut tail = vec![NIL; keys.len()];
+    let mut next = vec![NIL; tokens];
+    // `cursor[t]` indexes (in `flat`) the next key token `t` will cross.
+    let mut cursor: Vec<u32> = offs[..tokens].to_vec();
+    // Tokens about to join their next key's FIFO: at first every token
+    // with a non-empty path, then those that crossed a key in the previous
+    // round (store-and-forward), in crossing order.
+    let mut arrivals: Vec<u32> = (0..tokens as u32)
+        .filter(|&t| offs[t as usize] < offs[t as usize + 1])
+        .collect();
+    let mut remaining = arrivals.len();
+    // The keys with a non-empty FIFO; `queued[k]` iff `k` is listed.
+    let mut active: Vec<u32> = Vec::new();
+    let mut queued = vec![false; keys.len()];
+    let mut kept: Vec<u32> = Vec::new();
+    let mut crossed: Vec<u64> = Vec::new();
     let mut rounds = 0u64;
     let mut traversals = 0u64;
-    let mut arrivals: Vec<(u64, u32)> = Vec::new();
-    let mut schedule: Vec<Vec<u64>> = Vec::new();
     while remaining > 0 {
+        for &tok in &arrivals {
+            let k = flat[cursor[tok as usize] as usize];
+            push_back(&mut head, &mut tail, &mut next, k, tok);
+            if !queued[k as usize] {
+                queued[k as usize] = true;
+                active.push(k);
+            }
+        }
+        active.sort_unstable(); // id order is key order: determinism
         rounds += 1;
         arrivals.clear();
-        let mut crossed: Vec<u64> = Vec::new();
-        let mut next_active: Vec<u64> = Vec::with_capacity(active.len());
-        for &key in &active {
-            let q = queues.get_mut(&key).expect("active key has a queue");
+        crossed.clear();
+        kept.clear();
+        for &k in &active {
+            let ku = k as usize;
             for _ in 0..capacity {
-                let Some(tok) = q.pop_front() else { break };
-                traversals += 1;
-                crossed.push(key);
-                let p = &paths[tok as usize];
-                pos[tok as usize] += 1;
-                let at = pos[tok as usize] as usize;
-                if at >= p.len() {
+                let tok = head[ku];
+                if tok == NIL {
+                    break;
+                }
+                head[ku] = next[tok as usize];
+                crossed.push(keys[ku]);
+                let at = cursor[tok as usize] + 1;
+                cursor[tok as usize] = at;
+                if at == offs[tok as usize + 1] {
                     remaining -= 1;
                 } else {
-                    arrivals.push((p[at], tok));
+                    arrivals.push(tok);
                 }
             }
-            if !q.is_empty() {
-                next_active.push(key);
+            if head[ku] == NIL {
+                queued[ku] = false;
+            } else {
+                kept.push(k);
             }
         }
-        // Tokens that crossed a key this round join their next key's queue
-        // for the following round (store-and-forward).
-        for &(key, tok) in &arrivals {
-            let q = queues.entry(key).or_default();
-            if q.is_empty() && !next_active.contains(&key) {
-                next_active.push(key);
-            }
-            q.push_back(tok);
-        }
-        next_active.sort_unstable();
-        next_active.dedup();
-        active = next_active;
-        schedule.push(crossed);
+        std::mem::swap(&mut active, &mut kept);
+        traversals += crossed.len() as u64;
+        on_round(&crossed);
     }
     let mut wall = PhaseTimings::new();
     wall.record("schedule", started.elapsed());
-    (
-        PathRouteStats {
-            rounds,
-            traversals,
-            max_key_congestion: congestion.values().copied().max().unwrap_or(0),
-            dilation,
-            wall,
-        },
-        schedule,
-    )
+    PathRouteStats {
+        rounds,
+        traversals,
+        max_key_congestion: arena.max_key_congestion(),
+        dilation: flat.len() as u64,
+        wall,
+    }
+}
+
+/// End of an intrusive FIFO.
+const NIL: u32 = u32::MAX;
+
+/// Appends token `tok` to key `k`'s intrusive FIFO.
+fn push_back(head: &mut [u32], tail: &mut [u32], next: &mut [u32], k: u32, tok: u32) {
+    let k = k as usize;
+    next[tok as usize] = NIL;
+    if head[k] == NIL {
+        head[k] = tok;
+    } else {
+        next[tail[k] as usize] = tok;
+    }
+    tail[k] = tok;
+}
+
+/// One call's path system over dense key ids.
+struct PathArena {
+    /// `keys[id]`: the key of dense id `id`, strictly ascending.
+    keys: Vec<u64>,
+    /// Token `t`'s path is `flat[offs[t] .. offs[t + 1]]`.
+    offs: Vec<u32>,
+    /// Every path's key ids, concatenated.
+    flat: Vec<u32>,
+}
+
+impl PathArena {
+    fn new(paths: &[Vec<u64>]) -> Self {
+        assert!(paths.len() < NIL as usize, "too many tokens");
+        let total: usize = paths.iter().map(Vec::len).sum();
+        assert!(total <= u32::MAX as usize, "too many key crossings");
+        // First-seen ids over the unique keys only, then renumbered in
+        // ascending key order.
+        let mut ids: HashMap<u64, u32> = HashMap::new();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut flat: Vec<u32> = Vec::with_capacity(total);
+        let mut offs: Vec<u32> = Vec::with_capacity(paths.len() + 1);
+        offs.push(0);
+        for p in paths {
+            for &key in p {
+                let id = *ids.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    (keys.len() - 1) as u32
+                });
+                flat.push(id);
+            }
+            offs.push(flat.len() as u32);
+        }
+        drop(ids);
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| keys[id as usize]);
+        let mut rank = vec![0u32; keys.len()];
+        for (r, &id) in order.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        for id in &mut flat {
+            *id = rank[*id as usize];
+        }
+        keys.sort_unstable();
+        PathArena { keys, offs, flat }
+    }
+
+    /// Largest number of crossings of one key over all paths.
+    fn max_key_congestion(&self) -> u64 {
+        let mut load = vec![0u32; self.keys.len()];
+        for &k in &self.flat {
+            load[k as usize] += 1;
+        }
+        load.into_iter().max().map_or(0, u64::from)
+    }
 }
 
 #[cfg(test)]

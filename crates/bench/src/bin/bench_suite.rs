@@ -41,14 +41,12 @@
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::{expander, report::git_describe, scaled_levels, Report};
 use amt_core::congest::{
-    Metrics, PhaseTimings, ProfileConfig, RunConfig, Simulator, TelemetryConfig, TrafficProfile,
+    Metrics, PhaseTimings, RunConfig, Simulator, TelemetryConfig, TelemetryRecorder, TrafficProfile,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
-use amt_core::routing::{route_bitfix_churned_instrumented, route_bitfix_instrumented};
-use amt_core::walks::healing::{
-    run_walks_healing_churned_instrumented, run_walks_healing_instrumented,
-};
+use amt_core::routing::{route_bitfix, route_bitfix_observed};
+use amt_core::walks::healing::run_walks_healing_observed;
 use amt_core::walks::WalkSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,7 +120,6 @@ fn main() {
         wall: PhaseTimings::new(),
         throughput: PhaseTimings::new(),
     };
-    let profile_cfg = Some(ProfileConfig::default());
     println!("# Canonical bench suite ({stem})\n");
     bench.report.header(&[
         "bench",
@@ -139,10 +136,9 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(2);
         let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
         let t0 = Instant::now();
-        let (out, profile) =
-            congest_boruvka::run_instrumented(&wg, 3, profile_cfg).expect("connected");
+        let mut profile = TrafficProfile::default();
+        let out = congest_boruvka::run_observed(&wg, 3, &mut profile).expect("connected");
         let wall = t0.elapsed();
-        let profile = profile.expect("profiling on");
         // `CongestMstOutcome` has no `Metrics`; reconstruct the comparable
         // counters from the run and its exact profile.
         let metrics = Metrics {
@@ -196,10 +192,11 @@ fn main() {
             .map(|i| (NodeId(i), NodeId((5 * i + 3) % n as u32)))
             .collect();
         let t0 = Instant::now();
-        let (out, profile) =
-            route_bitfix_instrumented(&g, &reqs, 12, profile_cfg).expect("hypercube");
+        let mut profile = TrafficProfile::default();
+        let out = route_bitfix_observed(&g, &reqs, 12, ChurnPlan::none(), &mut profile)
+            .expect("hypercube");
         let wall = t0.elapsed();
-        bench.record("e2_route_bitfix_dim8", &out.metrics, profile.as_ref(), wall);
+        bench.record("e2_route_bitfix_dim8", &out.metrics, Some(&profile), wall);
     }
 
     // e2 walk engine: the hierarchy build's walk phase in isolation at
@@ -258,7 +255,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(2);
         let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
         let t0 = Instant::now();
-        let (out, _) = congest_boruvka::run_instrumented(&wg, 3, None).expect("connected");
+        let out = congest_boruvka::run(&wg, 3).expect("connected");
         let wall = t0.elapsed();
         let metrics = Metrics {
             rounds: out.rounds,
@@ -281,7 +278,7 @@ fn main() {
             .map(|i| (NodeId(i), NodeId((5 * i + 3) % n as u32)))
             .collect();
         let t0 = Instant::now();
-        let (out, _) = route_bitfix_instrumented(&g, &reqs, 12, None).expect("hypercube");
+        let out = route_bitfix(&g, &reqs, 12).expect("hypercube");
         let wall = t0.elapsed();
         bench.record(name, &out.metrics, None, wall);
     }
@@ -298,11 +295,19 @@ fn main() {
             .collect();
         let plan = plan_for(0.05, 2, n, 11 ^ (2u64) << 8);
         let t0 = Instant::now();
-        let (out, _, profile) =
-            run_walks_healing_instrumented(&g, WalkKind::Lazy, &specs, 11, plan, None, profile_cfg)
-                .expect("valid plan");
+        let mut profile = TrafficProfile::default();
+        let out = run_walks_healing_observed(
+            &g,
+            WalkKind::Lazy,
+            &specs,
+            11,
+            plan,
+            ChurnPlan::none(),
+            &mut profile,
+        )
+        .expect("valid plan");
         let wall = t0.elapsed();
-        bench.record("e16_faulty_walk", &out.metrics, profile.as_ref(), wall);
+        bench.record("e16_faulty_walk", &out.metrics, Some(&profile), wall);
     }
 
     // e17 churn tier: the pinned flap + crash-restart schedule. Every
@@ -325,19 +330,12 @@ fn main() {
             .with_flaps(0.05, 4)
             .with_restart(NodeId(7), 6, 5);
         let t0 = Instant::now();
-        let (out, _, profile) = run_walks_healing_churned_instrumented(
-            &g,
-            WalkKind::Lazy,
-            &specs,
-            21,
-            plan,
-            churn,
-            None,
-            profile_cfg,
-        )
-        .expect("valid plans");
+        let mut profile = TrafficProfile::default();
+        let out =
+            run_walks_healing_observed(&g, WalkKind::Lazy, &specs, 21, plan, churn, &mut profile)
+                .expect("valid plans");
         let wall = t0.elapsed();
-        bench.record("e17_churned_walk", &out.metrics, profile.as_ref(), wall);
+        bench.record("e17_churned_walk", &out.metrics, Some(&profile), wall);
         bench.report.recovery("e17_churned_walk", &out.timeline);
     }
 
@@ -352,17 +350,11 @@ fn main() {
             .with_flaps(0.05, 4)
             .with_restart(NodeId(5), 3, 5);
         let t0 = Instant::now();
-        let (out, _, profile) = amt_core::mst::healing::run_healing_churned_instrumented(
-            &wg,
-            17,
-            plan,
-            churn,
-            None,
-            profile_cfg,
-        )
-        .expect("survivors stay connected");
+        let mut profile = TrafficProfile::default();
+        let out = amt_core::mst::run_healing_observed(&wg, 17, plan, churn, &mut profile)
+            .expect("survivors stay connected");
         let wall = t0.elapsed();
-        bench.record("e17_churned_mst", &out.metrics, profile.as_ref(), wall);
+        bench.record("e17_churned_mst", &out.metrics, Some(&profile), wall);
         bench.report.recovery("e17_churned_mst", &out.timeline);
     }
 
@@ -380,15 +372,14 @@ fn main() {
             .with_flaps(0.05, 3)
             .with_restart(NodeId(6), 1, 4);
         let t0 = Instant::now();
-        let (out, _, profile) =
-            route_bitfix_churned_instrumented(&g, &reqs, 12, churn, None, profile_cfg)
-                .expect("hypercube");
+        let mut profile = TrafficProfile::default();
+        let out = route_bitfix_observed(&g, &reqs, 12, churn, &mut profile).expect("hypercube");
         let wall = t0.elapsed();
         assert!(
             out.undelivered.is_empty(),
             "e17: flaps alone never isolate a destination for good"
         );
-        bench.record("e17_churned_route", &out.metrics, profile.as_ref(), wall);
+        bench.record("e17_churned_route", &out.metrics, Some(&profile), wall);
         bench.report.recovery("e17_churned_route", &out.timeline);
     }
 
@@ -416,20 +407,20 @@ fn finish(bench: Bench) {
 /// recording metrics, per-class totals, and the logical telemetry counters.
 fn scaling_tier(bench: &mut Bench) {
     for (name, g) in scaling_instances() {
-        let mut sim = Simulator::new(&g, scale_fleet(g.len()), 77)
-            .expect("fleet size matches")
-            .with_profile(ProfileConfig::default())
+        let mut sim = Simulator::new(&g, scale_fleet(g.len()), 77).expect("fleet size matches");
+        let mut obs = (
+            TrafficProfile::default(),
             // Aggregates and high-water marks only: the tier gates the
             // logical counters, not the per-round series.
-            .with_telemetry(TelemetryConfig::default().without_history());
+            TelemetryRecorder::new(TelemetryConfig::default().without_history()),
+        );
         let t0 = Instant::now();
         let metrics = sim
-            .run(&RunConfig::all_done())
+            .run_observed(&RunConfig::all_done(), &mut obs)
             .expect("scaling workload terminates");
         let wall = t0.elapsed();
-        let profile = sim.take_profile().expect("profiling on");
-        let telemetry = sim.take_telemetry().expect("telemetry on");
+        let (profile, recorder) = obs;
         bench.record(name, &metrics, Some(&profile), wall);
-        bench.report.telemetry(name, &telemetry);
+        bench.report.telemetry(name, recorder.telemetry());
     }
 }

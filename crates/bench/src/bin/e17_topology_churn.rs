@@ -28,7 +28,7 @@
 
 use amt_bench::scale::scale_fleet;
 use amt_bench::{expander, Report};
-use amt_core::congest::{CongestError, RunConfig, Simulator};
+use amt_core::congest::{CongestError, NoObserver, RunConfig, Simulator};
 use amt_core::mst::{healing as mst_healing, reference, MstError};
 use amt_core::prelude::*;
 use amt_core::routing::{route_bitfix_churned, MAX_ROUTE_EPOCHS};
@@ -329,7 +329,7 @@ fn replay_table(report: &mut Report, n: usize, walks: usize) {
             .with_churn_plan(churn.clone());
         let cfg = RunConfig::all_done();
         let m = if reverse {
-            sim.run_reverse_visit(&cfg)
+            sim.run_reverse_visit(&cfg, &mut NoObserver)
         } else {
             sim.run(&cfg)
         }

@@ -6,7 +6,7 @@
 //! tree is verified against Kruskal.
 
 use amt_bench::{expander, loglog_slope, paper_growth, scaled_levels, tau_estimate, Report};
-use amt_core::congest::{Distribution, ProfileConfig};
+use amt_core::congest::{Distribution, TrafficProfile};
 use amt_core::mst::{congest_boruvka, gkp};
 use amt_core::prelude::*;
 use rand::rngs::StdRng;
@@ -132,9 +132,8 @@ fn round_distribution_table(report: &mut Report) {
     let g = expander(256, 6, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
-    let (_, profile) = congest_boruvka::run_instrumented(&wg, 3, Some(ProfileConfig::default()))
-        .expect("connected");
-    let profile = profile.expect("profiling on");
+    let mut profile = TrafficProfile::default();
+    congest_boruvka::run_observed(&wg, 3, &mut profile).expect("connected");
     report.section("round distributions");
     report.header(&[
         "class", "msg p50", "msg p95", "msg max", "bit p50", "bit p95", "bit max",

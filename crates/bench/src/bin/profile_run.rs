@@ -2,7 +2,7 @@
 //!
 //! Profiles the simulator-executed protocols — clean and healing Borůvka
 //! MST, Valiant bit-fix permutation routing, and healing walks — with the
-//! traffic-class profiler (`Simulator::with_profile`): per-class totals,
+//! traffic-class profiler (a `TrafficProfile` observer): per-class totals,
 //! the top-10 hot edges with per-class attribution, the ack/retransmit
 //! share of the healing runs versus their clean counterparts, per-class
 //! round-level distributions (p50/p95/max), and an ASCII heatmap of the
@@ -15,11 +15,11 @@
 //! section).
 
 use amt_bench::{expander, Report};
-use amt_core::congest::{class, Distribution, ProfileConfig, TraceConfig, TrafficProfile};
-use amt_core::mst::{congest_boruvka, run_healing_instrumented};
+use amt_core::congest::{class, Distribution, RunTrace, TrafficProfile};
+use amt_core::mst::{congest_boruvka, run_healing_observed};
 use amt_core::prelude::*;
-use amt_core::routing::route_bitfix_instrumented;
-use amt_core::walks::healing::run_walks_healing_instrumented;
+use amt_core::routing::route_bitfix_observed;
+use amt_core::walks::healing::run_walks_healing_observed;
 use amt_core::walks::parallel::degree_proportional_specs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,7 +103,6 @@ fn distribution_rows(report: &mut Report, run: &str, p: &TrafficProfile) {
 
 fn main() {
     let mut report = Report::new("profile_run");
-    let profile_cfg = Some(ProfileConfig::default());
     println!("# Traffic-class congestion profiles (top-10 hot edges, reliability tax)\n");
 
     // ---- MST: clean vs healing Borůvka on the canonical expander ----
@@ -114,17 +113,16 @@ fn main() {
     report.config("mst_n", n);
     report.config("mst_family", "random 6-regular expander, seed 1");
 
-    let (clean, clean_profile) =
-        congest_boruvka::run_instrumented(&wg, 3, profile_cfg).expect("connected");
-    let clean_profile = clean_profile.expect("profiling on");
+    let mut clean_profile = TrafficProfile::default();
+    let clean = congest_boruvka::run_observed(&wg, 3, &mut clean_profile).expect("connected");
 
     let plan = FaultPlan::none()
         .seeded(7)
         .with_drops(0.05)
         .with_crash(NodeId(0), 10);
-    let (healing, _, healing_profile) =
-        run_healing_instrumented(&wg, 3, plan, None, profile_cfg).expect("connected survivors");
-    let healing_profile = healing_profile.expect("profiling on");
+    let mut healing_profile = TrafficProfile::default();
+    let healing = run_healing_observed(&wg, 3, plan, ChurnPlan::none(), &mut healing_profile)
+        .expect("connected survivors");
     assert_eq!(healing_profile.total_messages(), healing.metrics.messages);
     assert_eq!(healing_profile.total_bits(), healing.metrics.bits);
 
@@ -179,9 +177,9 @@ fn main() {
     let reqs: Vec<(NodeId, NodeId)> = (0..hn as u32)
         .map(|i| (NodeId(i), NodeId((5 * i + 3) % hn as u32)))
         .collect();
-    let (route, route_profile) =
-        route_bitfix_instrumented(&hg, &reqs, 12, profile_cfg).expect("hypercube");
-    let route_profile = route_profile.expect("profiling on");
+    let mut route_profile = TrafficProfile::default();
+    let route = route_bitfix_observed(&hg, &reqs, 12, ChurnPlan::none(), &mut route_profile)
+        .expect("hypercube");
     assert_eq!(route_profile.total_messages(), route.metrics.messages);
     report.config("route_n", hn);
     report.config("route_family", format!("hypercube dim {dim}"));
@@ -210,17 +208,18 @@ fn main() {
         .seeded(4)
         .with_drops(0.03)
         .with_crash(NodeId(9), 5);
-    let (walks, walk_traces, walk_profile) = run_walks_healing_instrumented(
+    let mut walk_obs = (Vec::<RunTrace>::new(), TrafficProfile::default());
+    let walks = run_walks_healing_observed(
         &wg_graph,
         WalkKind::Lazy,
         &specs,
         6,
         plan,
-        Some(TraceConfig::default()),
-        profile_cfg,
+        ChurnPlan::none(),
+        &mut walk_obs,
     )
     .expect("valid plan");
-    let walk_profile = walk_profile.expect("profiling on");
+    let (walk_traces, walk_profile) = walk_obs;
     assert_eq!(walk_profile.total_messages(), walks.metrics.messages);
 
     println!("\n## Healing walks: class totals and per-epoch round distributions\n");

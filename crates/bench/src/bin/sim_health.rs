@@ -19,7 +19,7 @@
 //! end-to-end.
 //!
 //! Flags: `--smoke` shrinks the sweep to the dumbbell instance (CI).
-//! `--force-failure` instead drives the workload into a [`CongestError`]
+//! `--force-failure` instead drives the workload into a `CongestError`
 //! under a tight round cap, then parses the auto-written
 //! `flightrec_*.json` post-mortem back and checks the retained final-K-round
 //! window.
@@ -28,7 +28,7 @@ use amt_bench::report::{parse, Json};
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::Report;
 use amt_core::congest::{
-    Distribution, Metrics, RunConfig, RunTelemetry, Simulator, TelemetryConfig,
+    Distribution, Metrics, RunConfig, RunTelemetry, Simulator, TelemetryConfig, TelemetryRecorder,
 };
 use amt_core::prelude::*;
 use std::time::Instant;
@@ -51,17 +51,15 @@ fn reference_run(g: &Graph) -> (Metrics, Vec<u64>) {
 
 /// One telemetry-on run, with its host wall-clock.
 fn health_run(g: &Graph, cfg: TelemetryConfig) -> (Metrics, Vec<u64>, RunTelemetry, u64) {
-    let mut sim = Simulator::new(g, scale_fleet(g.len()), SEED)
-        .expect("fleet size matches")
-        .with_telemetry(cfg);
+    let mut sim = Simulator::new(g, scale_fleet(g.len()), SEED).expect("fleet size matches");
+    let mut recorder = TelemetryRecorder::new(cfg);
     let t0 = Instant::now();
     let m = sim
-        .run(&RunConfig::all_done())
+        .run_observed(&RunConfig::all_done(), &mut recorder)
         .expect("scaling workload terminates");
     let wall = t0.elapsed().as_nanos() as u64;
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
-    let t = sim.take_telemetry().expect("telemetry on");
-    (m, digests, t, wall)
+    (m, digests, recorder.into_telemetry(), wall)
 }
 
 fn fmt_ms(nanos: u64) -> String {
@@ -157,21 +155,23 @@ fn force_failure() {
     const FLIGHT: usize = 8;
     let g = amt_bench::expander(512, 6, 1);
     let run_id = "sim_health_forced";
-    let mut sim = Simulator::new(&g, scale_fleet(g.len()), SEED)
-        .expect("fleet size matches")
-        .with_telemetry(
-            TelemetryConfig::default()
-                .with_run_id(run_id)
-                .with_flight_capacity(FLIGHT),
-        );
+    let mut sim = Simulator::new(&g, scale_fleet(g.len()), SEED).expect("fleet size matches");
+    let mut recorder = TelemetryRecorder::new(
+        TelemetryConfig::default()
+            .with_run_id(run_id)
+            .with_flight_capacity(FLIGHT),
+    );
     let err = sim
-        .run(&RunConfig {
-            max_rounds: CAP,
-            ..RunConfig::all_done()
-        })
+        .run_observed(
+            &RunConfig {
+                max_rounds: CAP,
+                ..RunConfig::all_done()
+            },
+            &mut recorder,
+        )
         .expect_err("the beacon schedule cannot finish in 12 rounds");
     println!("run failed as intended: {err}");
-    let t = sim.telemetry().expect("telemetry survives the abort");
+    let t = recorder.telemetry();
     assert_eq!(t.rounds, CAP, "every capped round must be recorded");
 
     let path = std::path::PathBuf::from(report_dir()).join(format!("flightrec_{run_id}.json"));

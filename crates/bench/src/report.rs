@@ -970,7 +970,7 @@ mod tests {
             load: vec![2, 3],
         });
         r.timeline("snapshotted", &traced);
-        let mut tp = TrafficProfile::empty(2);
+        let mut tp = TrafficProfile::new(2);
         tp.per_class.push(amt_congest::ClassStats {
             class: amt_congest::class::WALK_TOKEN,
             messages: 3,

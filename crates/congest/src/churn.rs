@@ -502,6 +502,11 @@ pub(crate) trait ChurnHook {
 
     /// Nodes offline in `round` (for the availability timeline).
     fn down_count(&self, round: u64) -> u64;
+
+    /// The run's churn log so far.
+    fn events(&self) -> &[ChurnEvent] {
+        &[]
+    }
 }
 
 /// The churn hook of the churn-free path: the topology never changes. All
@@ -621,6 +626,10 @@ impl ChurnHook for ChurnState<'_> {
 
     fn down_count(&self, round: u64) -> u64 {
         self.sched.down_count(round)
+    }
+
+    fn events(&self) -> &[ChurnEvent] {
+        &self.events
     }
 }
 

@@ -13,8 +13,8 @@
 //!   faulty execution, message for message, and
 //! * the verdict for a message does not depend on how many *other* messages
 //!   were sampled before it, so the executor may visit senders in any order
-//!   without changing a single fault decision; see the determinism contract
-//!   in [`crate::sim`].
+//!   without changing a single fault decision (the simulator's determinism
+//!   contract, DESIGN.md §2a).
 //!
 //! Fault semantics (applied between staging and delivery, per message):
 //!
@@ -286,6 +286,11 @@ pub(crate) trait FaultHook {
 
     /// Appends a fault event to the run's log.
     fn record(&mut self, round: u64, node: usize, port: usize, kind: FaultKind);
+
+    /// The run's fault log so far.
+    fn events(&self) -> &[FaultEvent] {
+        &[]
+    }
 }
 
 /// The fault hook of the pristine path: nothing ever goes wrong. All methods
@@ -396,6 +401,10 @@ impl FaultHook for FaultState<'_> {
             port,
             kind,
         });
+    }
+
+    fn events(&self) -> &[FaultEvent] {
+        &self.events
     }
 }
 

@@ -25,25 +25,29 @@
 //!   crash-*restart* with state loss ([`Protocol::on_restart`]) — the
 //!   sustained-damage counterpart to the fault layer's one-shot failures.
 //!   Protocols observe link state through [`Ctx::link_up`].
-//! * [`trace`] — opt-in round-level observability ([`RunTrace`]): per-round
-//!   timeline samples, protocol-emitted span events ([`Ctx::trace_event`]),
-//!   striding per-edge load snapshots, and the wall-clock [`PhaseTimings`]
-//!   type shared by the protocol crates. Disabled by default with zero
-//!   overhead; enabling it never changes `Metrics` or protocol outputs.
-//! * [`profile`] — opt-in traffic-class attribution ([`TrafficProfile`]):
+//! * [`observe`] — the one observer spine every recording layer plugs into:
+//!   [`Simulator::run_observed`] drives an [`Observer`] sink (or a tuple of
+//!   them) from the engine's delivery points and once per round.
+//!   [`Simulator::run`] observes with [`NoObserver`], which compiles away;
+//!   observing never changes `Metrics` or protocol outputs.
+//! * [`trace`] — the round-level timeline sink ([`RunTrace`]): per-round
+//!   samples, protocol-emitted span events ([`Ctx::trace_event`]), striding
+//!   per-edge load snapshots, plus the wall-clock [`PhaseTimings`] type
+//!   shared by the protocol crates.
+//! * [`profile`] — the traffic-class attribution sink ([`TrafficProfile`]):
 //!   every delivery is tagged with a [`TrafficClass`] (protocol default or
 //!   per-send via [`Ctx::send_classed`]) and aggregated per `(class, round)`
 //!   and `(class, edge)`, with hot-edge analysis ([`CongestionProfile`]).
-//!   Same zero-cost-when-off contract as [`trace`]; per-class totals sum
-//!   exactly to the run's [`Metrics`] and per-edge loads.
-//! * [`telemetry`] — opt-in runtime-execution health ([`RunTelemetry`]):
-//!   per-round step wall-time and work counters, engine gauges (active-set
-//!   occupancy, inbox / staged-send / wake-queue depth, arena byte
-//!   high-water marks), a fixed-capacity flight recorder holding the last
-//!   K rounds (dumped to `flightrec_<id>.json` when a run errors), and an
-//!   optional NDJSON live-stream sink. Logical counters are
-//!   visit-order-invariant; wall-times are host measurements outside the
-//!   determinism contract. Same zero-cost-when-off contract as [`trace`].
+//!   Per-class totals sum exactly to the run's [`Metrics`] and per-edge
+//!   loads.
+//! * [`telemetry`] — the runtime-execution health sink
+//!   ([`TelemetryRecorder`], recording a [`RunTelemetry`]): per-round step
+//!   wall-time and work counters, engine gauges (active-set occupancy,
+//!   inbox / staged-send / wake-queue depth, arena byte high-water marks),
+//!   a fixed-capacity flight recorder holding the last K rounds (dumped to
+//!   `flightrec_<id>.json` when a run errors), and an optional NDJSON
+//!   live stream. Logical counters are visit-order-invariant; wall-times
+//!   are host measurements outside the determinism contract.
 //!
 //! Determinism: every node owns a private RNG stream derived from
 //! `(run seed, node id)` and handed to protocols through [`Ctx::rng`], and
@@ -61,6 +65,7 @@ mod sim;
 
 pub mod churn;
 pub mod faults;
+pub mod observe;
 pub mod primitives;
 pub mod profile;
 pub mod telemetry;
@@ -71,18 +76,15 @@ pub use error::CongestError;
 pub use faults::{CrashEvent, FaultEvent, FaultKind, FaultPlan};
 pub use message::{bits_for_count, bits_for_value, CongestMessage};
 pub use metrics::Metrics;
+pub use observe::{NoObserver, Observer, RoundRecord, RunEnd};
 pub use primitives::reliable::{reliable_broadcast, Reliable, ReliableLink};
-pub use profile::{
-    class, ClassStats, CongestionProfile, HotEdge, ProfileConfig, TrafficClass, TrafficProfile,
-};
+pub use profile::{class, ClassStats, CongestionProfile, HotEdge, TrafficClass, TrafficProfile};
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
 pub use telemetry::{
     dump_flight, render_flight_dump, FlightFrame, FlightRecorder, GaugeHighWater, RoundHealth,
-    RunTelemetry, TelemetryConfig,
+    RunTelemetry, TelemetryConfig, TelemetryRecorder,
 };
-pub use trace::{
-    Distribution, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace, TraceConfig, TraceEvent,
-};
+pub use trace::{Distribution, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace, TraceEvent};
 
 /// Result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, CongestError>;

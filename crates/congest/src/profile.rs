@@ -10,10 +10,10 @@
 //!
 //! # Contract
 //!
-//! * **Off by default, zero cost.** Profiling is enabled with
-//!   [`crate::Simulator::with_profile`]; a run without it takes the exact
-//!   same code path — `Metrics`, `RunTrace`, protocol state, and RNG
-//!   streams are byte-identical to a build without this module.
+//! * **Off unless observed.** A [`TrafficProfile`] is an [`Observer`]
+//!   sink passed to [`crate::Simulator::run_observed`]; a run without it
+//!   records nothing, and with it `Metrics`, `RunTrace`, protocol state,
+//!   and RNG streams are byte-identical to the unobserved run.
 //! * **Exact attribution.** The profiler records at the engine's delivery
 //!   points, the same events that drive `Metrics.messages`/`bits` and the
 //!   per-edge loads, so per-class totals sum *exactly* (`assert_eq`, not
@@ -22,6 +22,12 @@
 //! * **Deterministic.** Classes appear in first-delivery order, which the
 //!   engine's ordered `(sender, port)` merge makes independent of the
 //!   node-visit order.
+//! * **Accumulating.** One profile observing several runs sums them, each
+//!   run's timeline placed at its [`Observer::set_round_offset`] — how
+//!   multi-stage drivers (healing walks, healing Borůvka) keep one profile
+//!   whose totals match their accumulated [`crate::Metrics`].
+
+use crate::observe::{Observer, RunEnd};
 
 /// A traffic-class tag: a small open registry of `&'static str` names.
 ///
@@ -59,20 +65,6 @@ pub mod class {
     pub const REL_RETRANSMIT: TrafficClass = "reliable/retransmit";
 }
 
-/// What the profiler should record, attached via
-/// [`crate::Simulator::with_profile`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProfileConfig {
-    /// How many hot edges [`TrafficProfile::analyze`] ranks by default.
-    pub top_k: usize,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig { top_k: 10 }
-    }
-}
-
 /// Per-class deliveries of one executed round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassRoundSample {
@@ -102,37 +94,62 @@ pub struct ClassStats {
     pub edge_bits: Vec<u64>,
 }
 
-/// Per-`(class, round)` and per-`(class, edge)` delivery counts of one run.
+/// Per-`(class, round)` and per-`(class, edge)` delivery counts of the runs
+/// it observed.
 ///
-/// Recorded by the round engine when profiling is enabled; retrieve it with
-/// [`crate::Simulator::take_profile`] (or through
-/// [`crate::trace::RunTrace::profile`] when tracing is also on).
+/// An [`Observer`] sink: `TrafficProfile::default()` takes its edge count
+/// from the first run it observes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficProfile {
     edge_count: usize,
+    /// Global round of the observed run's round 0 (0 between runs).
+    round_offset: u64,
     /// Per-class statistics, in first-delivery order (deterministic: the
     /// engine merges deliveries in `(sender, port)` order).
     pub per_class: Vec<ClassStats>,
 }
 
-impl TrafficProfile {
-    pub(crate) fn new(edge_count: usize) -> Self {
-        TrafficProfile {
-            edge_count,
-            per_class: Vec::new(),
-        }
+/// Attributes every delivery of the observed runs.
+impl Observer for TrafficProfile {
+    fn set_round_offset(&mut self, offset: u64) {
+        self.round_offset = offset;
     }
 
-    /// An empty profile over `edge_count` edges — a seed for
-    /// [`TrafficProfile::absorb`]-based accumulation in multi-stage drivers
-    /// whose first stage does not start at round 0.
-    pub fn empty(edge_count: usize) -> Self {
-        TrafficProfile::new(edge_count)
+    /// # Panics
+    ///
+    /// Panics if the profile already holds traffic over a different edge
+    /// space.
+    fn begin_run(&mut self, edge_count: usize) {
+        if self.per_class.is_empty() {
+            self.edge_count = edge_count;
+        }
+        assert_eq!(
+            self.edge_count, edge_count,
+            "profiles must cover the same graph"
+        );
+    }
+
+    fn on_delivery(&mut self, class: TrafficClass, round: u64, edge: usize, bits: u64) {
+        self.record(class, self.round_offset + round, edge, bits);
+    }
+
+    fn end_run(&mut self, _end: &RunEnd<'_>) {
+        self.round_offset = 0;
+    }
+}
+
+impl TrafficProfile {
+    /// An empty profile over `edge_count` edges.
+    pub fn new(edge_count: usize) -> Self {
+        TrafficProfile {
+            edge_count,
+            ..TrafficProfile::default()
+        }
     }
 
     /// Records one delivery. `bits` must be the delivered frame width — the
     /// exact amount the engine adds to `Metrics.bits` for the same event.
-    pub(crate) fn record(&mut self, class: TrafficClass, round: u64, edge: usize, bits: u64) {
+    fn record(&mut self, class: TrafficClass, round: u64, edge: usize, bits: u64) {
         let edge_count = self.edge_count;
         let idx = match self.per_class.iter().position(|s| s.class == class) {
             Some(i) => i,
@@ -163,64 +180,6 @@ impl TrafficProfile {
                 messages: 1,
                 bits,
             }),
-        }
-    }
-
-    /// Folds `other` into `self`, shifting its timeline rounds forward by
-    /// `round_offset`.
-    ///
-    /// Multi-epoch / multi-phase drivers (healing walks, healing Borůvka)
-    /// run a fresh simulator per stage; absorbing each stage's profile with
-    /// `round_offset` set to the rounds elapsed so far yields one
-    /// cumulative profile whose totals still match the accumulated
-    /// [`Metrics`](crate::Metrics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two profiles index different edge spaces.
-    pub fn absorb(&mut self, other: &TrafficProfile, round_offset: u64) {
-        assert_eq!(
-            self.edge_count, other.edge_count,
-            "profiles must cover the same graph"
-        );
-        for o in &other.per_class {
-            let idx = match self.per_class.iter().position(|s| s.class == o.class) {
-                Some(i) => i,
-                None => {
-                    self.per_class.push(ClassStats {
-                        class: o.class,
-                        messages: 0,
-                        bits: 0,
-                        timeline: Vec::new(),
-                        edge_messages: vec![0; self.edge_count],
-                        edge_bits: vec![0; self.edge_count],
-                    });
-                    self.per_class.len() - 1
-                }
-            };
-            let s = &mut self.per_class[idx];
-            s.messages += o.messages;
-            s.bits += o.bits;
-            for (t, &m) in s.edge_messages.iter_mut().zip(&o.edge_messages) {
-                *t += m;
-            }
-            for (t, &b) in s.edge_bits.iter_mut().zip(&o.edge_bits) {
-                *t += b;
-            }
-            for sample in &o.timeline {
-                let round = sample.round + round_offset;
-                match s.timeline.last_mut() {
-                    Some(last) if last.round == round => {
-                        last.messages += sample.messages;
-                        last.bits += sample.bits;
-                    }
-                    _ => s.timeline.push(ClassRoundSample {
-                        round,
-                        messages: sample.messages,
-                        bits: sample.bits,
-                    }),
-                }
-            }
         }
     }
 
@@ -445,15 +404,18 @@ impl CongestionProfile {
 mod tests {
     use super::*;
 
+    /// Observing a second run at a round offset merges its totals and edge
+    /// counts and shifts its timeline onto the global clock.
     #[test]
-    fn absorb_merges_totals_edges_and_offset_timelines() {
-        let mut a = TrafficProfile::new(2);
-        a.record(class::WALK_TOKEN, 0, 0, 10);
-        a.record(class::WALK_TOKEN, 3, 1, 10);
-        let mut b = TrafficProfile::new(2);
-        b.record(class::WALK_TOKEN, 0, 1, 10);
-        b.record(class::REL_ACK, 2, 0, 17);
-        a.absorb(&b, 4);
+    fn observed_runs_accumulate_on_offset_timelines() {
+        let mut a = TrafficProfile::default();
+        a.begin_run(2);
+        a.on_delivery(class::WALK_TOKEN, 0, 0, 10);
+        a.on_delivery(class::WALK_TOKEN, 3, 1, 10);
+        a.set_round_offset(4);
+        a.begin_run(2);
+        a.on_delivery(class::WALK_TOKEN, 0, 1, 10);
+        a.on_delivery(class::REL_ACK, 2, 0, 17);
         assert_eq!(a.total_messages(), 4);
         assert_eq!(a.total_bits(), 47);
         assert_eq!(a.edge_messages_total(), vec![2, 2]);
@@ -463,7 +425,7 @@ mod tests {
         assert_eq!(
             w.timeline.iter().map(|s| s.round).collect::<Vec<_>>(),
             vec![0, 3, 4],
-            "absorbed rounds are shifted by the offset"
+            "the second run's rounds are shifted by its offset"
         );
         assert_eq!(a.stats(class::REL_ACK).unwrap().timeline[0].round, 6);
     }

@@ -47,9 +47,10 @@
 
 use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, NoChurn};
 use crate::faults::{Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults};
-use crate::profile::{class, ProfileConfig, TrafficClass, TrafficProfile};
-use crate::telemetry::{RoundHealth, RunTelemetry, TelemetryConfig, TelemetryState};
-use crate::trace::{EdgeLoadSnapshot, RoundSample, RunTrace, TraceConfig, TraceEvent};
+use crate::observe::{NoObserver, Observer, RoundRecord, RunEnd};
+use crate::profile::{class, TrafficClass};
+use crate::telemetry::RoundHealth;
+use crate::trace::{RoundSample, TraceEvent};
 use crate::{bits_for_count, CongestError, CongestMessage, Metrics, Result};
 use amt_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -218,8 +219,8 @@ pub struct Ctx<'a, M> {
     /// Earliest absolute round this node asked to be re-stepped in via
     /// [`Ctx::wake_in`] (collected by the executor after the step).
     wake: &'a mut Option<u64>,
-    /// Event sink when tracing is enabled (`None` costs one branch per
-    /// [`Ctx::trace_event`] call and nothing else).
+    /// Event buffer when the run's observer collects events (`None` costs
+    /// one branch per [`Ctx::trace_event`] call and nothing else).
     trace: Option<&'a mut Vec<TraceEvent>>,
     /// Churn schedule when a non-trivial [`crate::ChurnPlan`] is attached
     /// (`None` on the static-topology paths, where [`Ctx::link_up`] is
@@ -360,11 +361,11 @@ impl<M: CongestMessage> Ctx<'_, M> {
         self.rng
     }
 
-    /// Emits a span/phase marker into the run's [`RunTrace`].
+    /// Emits a span/phase marker into the run's [`crate::RunTrace`].
     ///
-    /// A no-op (one branch) unless tracing was enabled with
-    /// [`Simulator::with_trace`]; emitting events must therefore never be
-    /// the protocol's only side effect. Events are recorded in
+    /// A no-op (one branch) unless the run's [`Observer`] collects events
+    /// (a [`crate::RunTrace`] sink does); emitting events must therefore
+    /// never be the protocol's only side effect. Events are recorded in
     /// `(round, node)` order.
     pub fn trace_event(&mut self, label: &'static str, value: u64) {
         if let Some(events) = self.trace.as_mut() {
@@ -705,6 +706,9 @@ struct Scratch<M> {
     held_next: Vec<Held<M>>,
     /// Active-set bitmap + worklist (sparse engine only).
     active: ActiveSet,
+    /// The step's trace events, handed to the observer each round (only
+    /// filled when it collects events).
+    events: Vec<TraceEvent>,
     /// `0..n`, the full sweep's constant "active" list.
     all_nodes: Vec<u32>,
     /// Last reported `is_done` per node (plus forced done for crashed and
@@ -726,6 +730,7 @@ impl<M> Default for Scratch<M> {
             held: Vec::new(),
             held_next: Vec::new(),
             active: ActiveSet::default(),
+            events: Vec::new(),
             all_nodes: Vec::new(),
             done: Vec::new(),
         }
@@ -749,6 +754,7 @@ impl<M> Scratch<M> {
         self.held.clear();
         self.held_next.clear();
         self.active.reset(n);
+        self.events.clear();
         if self.all_nodes.len() != n {
             self.all_nodes.clear();
             self.all_nodes.extend(0..n as u32);
@@ -938,10 +944,11 @@ struct Wakeups {
 /// construction (sparse path) or the full node list, the protocol step
 /// (via `stepper`), the ordered `(sender, port)` merge with per-message
 /// fault sampling (via `hook`), the stable release sweep over the delay
-/// queue, delivery accounting, tracing, inbox grouping
-/// ([`group_pending`]), and the stop check. The clean path instantiates
-/// this with [`NoFaults`] — every hook call inlines away — and is the
-/// exact pristine executor; the faulty path instantiates it with
+/// queue, delivery accounting, inbox grouping ([`group_pending`]), and the
+/// stop check — with the [`Observer`] called at the deliveries and once per
+/// round. The clean path instantiates this with [`NoFaults`] and the
+/// unobserved one with [`NoObserver`] — every hook call inlines away — and
+/// is the exact pristine executor; the faulty path instantiates it with
 /// [`FaultState`].
 ///
 /// On the sparse path a round's cost is O(active nodes + traffic), not
@@ -951,7 +958,7 @@ struct Wakeups {
 /// `messages`/`bits` count *deliveries*, so dropped/lost traffic never
 /// inflates the totals (documented on [`Metrics`]).
 #[allow(clippy::too_many_arguments)]
-fn round_engine<P, H, C>(
+fn round_engine<P, H, C, O>(
     cfg: &RunConfig,
     csr: &Csr,
     edge_load: &mut [u64],
@@ -960,17 +967,13 @@ fn round_engine<P, H, C>(
     hook: &mut H,
     churn: &mut C,
     wk: &Wakeups,
-    trace_cfg: Option<TraceConfig>,
-    trace_out: &mut Option<RunTrace>,
-    profile_cfg: Option<ProfileConfig>,
-    profile_out: &mut Option<TrafficProfile>,
-    telemetry_cfg: Option<&TelemetryConfig>,
-    telemetry_out: &mut Option<RunTelemetry>,
+    obs: &mut O,
 ) -> Result<Metrics>
 where
     P: Protocol,
     H: FaultHook,
     C: ChurnHook,
+    O: Observer,
 {
     let n = csr.n();
     scratch.reset(n);
@@ -985,27 +988,13 @@ where
         held,
         held_next,
         active,
+        events,
         all_nodes,
         done,
         ..
     } = scratch;
     let mut metrics = Metrics::default();
-    let mut trace = trace_cfg.map(|tc| {
-        (
-            tc,
-            RunTrace {
-                edge_load_stride: tc.edge_load_stride,
-                ..RunTrace::default()
-            },
-        )
-    });
-    // The profiler records at the delivery points below — the same events
-    // that drive `metrics.messages`/`bits` and `edge_load` — so per-class
-    // totals sum exactly to the undifferentiated counters.
-    let mut profile = profile_cfg.map(|_| TrafficProfile::new(edge_load.len()));
-    // Telemetry recording state; `None` (the default) costs a handful of
-    // branches per round and leaves every observable byte-identical.
-    let mut telemetry = telemetry_cfg.map(|tc| TelemetryState::new(tc.clone()));
+    obs.begin_run(edge_load.len());
     let mut result: Result<Metrics> = Err(CongestError::RoundLimitExceeded {
         max_rounds: cfg.max_rounds,
     });
@@ -1078,19 +1067,16 @@ where
             &all_nodes[..]
         };
         out.clear();
-        // Wall-clock only ticks when telemetry is on; the off path is
-        // byte-identical (one branch).
-        let step_start = telemetry.is_some().then(Instant::now);
-        let violation = stepper.step(
-            round,
-            active_list,
-            cur,
-            out,
-            trace.as_mut().map(|(_, t)| &mut t.events),
-        );
+        // Wall-clock only ticks for observers that take round records.
+        let step_start = O::ROUNDS.then(Instant::now);
+        let violation = stepper.step(round, active_list, cur, out, O::EVENTS.then_some(events));
         let step_wall_nanos = step_start.map_or(0, |t| {
             t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
         });
+        if O::EVENTS {
+            obs.on_events(events);
+            events.clear();
+        }
         if let Some(err) = violation {
             result = Err(err);
             break 'rounds;
@@ -1116,19 +1102,23 @@ where
         // so every depth below is the round's true occupancy. All logical
         // (element counts, not allocator capacities) — identical across
         // visit orders and engines.
-        let mut health = telemetry.as_ref().map(|_| RoundHealth {
-            round,
-            active_nodes: active_list.len() as u64,
-            inbox_queued: cur.slab.len() as u64,
-            staged_sends: out.slab.len() as u64,
-            wake_queue: timers.values().map(|v| v.len() as u64).sum(),
-            arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, P::Message)>()
-                + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, P::Message)>()
-                + held.len() * std::mem::size_of::<Held<P::Message>>())
-                as u64,
-            nodes_stepped: out.stepped,
-            step_wall_nanos,
-        });
+        let health = if O::ROUNDS {
+            RoundHealth {
+                round,
+                active_nodes: active_list.len() as u64,
+                inbox_queued: cur.slab.len() as u64,
+                staged_sends: out.slab.len() as u64,
+                wake_queue: timers.values().map(|v| v.len() as u64).sum(),
+                arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, P::Message)>()
+                    + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, P::Message)>()
+                    + held.len() * std::mem::size_of::<Held<P::Message>>())
+                    as u64,
+                nodes_stepped: out.stepped,
+                step_wall_nanos,
+            }
+        } else {
+            RoundHealth::default()
+        };
         // Ordered merge with per-message fault sampling: ascending
         // (sender, port), whatever order staged the sends.
         let mut delivered = 0u64;
@@ -1163,9 +1153,7 @@ where
                             let width = msg.bit_width() as u64;
                             metrics.bits += width;
                             edge_load[edge] += 1;
-                            if let Some(p) = profile.as_mut() {
-                                p.record(cls, round, edge, width);
-                            }
+                            obs.on_delivery(cls, round, edge, width);
                             pend.dst.push(dst as u32);
                             pend.msg.push((dst_port, msg));
                             delivered += 1;
@@ -1188,9 +1176,7 @@ where
                                     let width = garbled.bit_width() as u64;
                                     metrics.bits += width;
                                     edge_load[edge] += 1;
-                                    if let Some(p) = profile.as_mut() {
-                                        p.record(cls, round, edge, width);
-                                    }
+                                    obs.on_delivery(cls, round, edge, width);
                                     pend.dst.push(dst as u32);
                                     pend.msg.push((dst_port, garbled));
                                     delivered += 1;
@@ -1247,9 +1233,7 @@ where
                 let width = h.msg.bit_width() as u64;
                 metrics.bits += width;
                 edge_load[h.edge] += 1;
-                if let Some(p) = profile.as_mut() {
-                    p.record(h.class, round, h.edge, width);
-                }
+                obs.on_delivery(h.class, round, h.edge, width);
                 pend.dst.push(h.dst as u32);
                 pend.msg.push((h.dst_port, h.msg));
                 delivered += 1;
@@ -1258,40 +1242,29 @@ where
         std::mem::swap(held, held_next);
         metrics.messages += delivered;
         metrics.peak_messages_per_round = metrics.peak_messages_per_round.max(delivered);
-        // One round sample feeds both the trace timeline and the telemetry
-        // flight recorder; computed iff either consumer is attached.
-        let sample = (trace.is_some() || telemetry.is_some()).then(|| RoundSample {
-            round,
-            messages: delivered,
-            bits: metrics.bits - round_start.bits,
-            dropped: metrics.dropped - round_start.dropped,
-            corrupted: metrics.corrupted - round_start.corrupted,
-            delayed: metrics.delayed - round_start.delayed,
-            lost_to_crash: metrics.lost_to_crash - round_start.lost_to_crash,
-            crashed: metrics.crashed - round_start.crashed,
-            lost_to_churn: metrics.lost_to_churn - round_start.lost_to_churn,
-            restarts: metrics.restarts - round_start.restarts,
-            // Availability gauge: fault crash-stops are permanent, so
-            // the cumulative count is exactly "down now"; churn outages
-            // are read off the schedule for this round.
-            nodes_down: metrics.crashed + churn.down_count(round),
-            active_nodes: out.stepped,
-        });
-        if let Some((tc, t)) = trace.as_mut() {
-            t.samples
-                .push(sample.expect("sample computed when tracing"));
-            if tc.edge_load_stride > 0 && round % tc.edge_load_stride == 0 {
-                t.snapshots.push(EdgeLoadSnapshot {
-                    round,
-                    load: edge_load.to_vec(),
-                });
-            }
-        }
-        if let Some(ts) = telemetry.as_mut() {
-            ts.record_round(
-                sample.expect("sample computed when telemetry is on"),
-                health.take().expect("health captured when telemetry is on"),
-            );
+        if O::ROUNDS {
+            let sample = RoundSample {
+                round,
+                messages: delivered,
+                bits: metrics.bits - round_start.bits,
+                dropped: metrics.dropped - round_start.dropped,
+                corrupted: metrics.corrupted - round_start.corrupted,
+                delayed: metrics.delayed - round_start.delayed,
+                lost_to_crash: metrics.lost_to_crash - round_start.lost_to_crash,
+                crashed: metrics.crashed - round_start.crashed,
+                lost_to_churn: metrics.lost_to_churn - round_start.lost_to_churn,
+                restarts: metrics.restarts - round_start.restarts,
+                // Availability gauge: fault crash-stops are permanent, so
+                // the cumulative count is exactly "down now"; churn outages
+                // are read off the schedule for this round.
+                nodes_down: metrics.crashed + churn.down_count(round),
+                active_nodes: out.stepped,
+            };
+            obs.on_round(&RoundRecord {
+                sample,
+                health,
+                edge_load,
+            });
         }
         // Group this round's deliveries into next round's inbox arena and
         // swap it in (the consumed arena becomes the next grouping target).
@@ -1305,31 +1278,18 @@ where
         };
         if stop {
             metrics.max_edge_congestion = edge_load.iter().copied().max().unwrap_or(0);
-            if let Some((tc, t)) = trace.as_mut() {
-                t.final_edge_load = edge_load.to_vec();
-                // Strided snapshots always include the final round: without
-                // this, a stride that does not divide the stopping round
-                // would leave the series ending mid-run (the in-loop push
-                // above already covered the stride-aligned case).
-                if tc.edge_load_stride > 0 && t.snapshots.last().map(|s| s.round) != Some(round) {
-                    t.snapshots.push(EdgeLoadSnapshot {
-                        round,
-                        load: edge_load.to_vec(),
-                    });
-                }
-            }
             result = Ok(metrics);
             break 'rounds;
         }
     }
-    if let (Some(t), Some(p)) = (trace.as_mut(), profile.as_ref()) {
-        t.1.profile = Some(p.clone());
-    }
-    *trace_out = trace.map(|(_, t)| t);
-    *profile_out = profile;
-    // Recorded telemetry is handed back even (especially) when the run
-    // errored: the flight recorder's last K rounds are the post-mortem.
-    *telemetry_out = telemetry.map(TelemetryState::finish);
+    // Observers see the end of errored runs too: the telemetry recorder's
+    // last K rounds are the post-mortem.
+    obs.end_run(&RunEnd {
+        result: &result,
+        edge_load,
+        fault_events: hook.events(),
+        churn_events: churn.events(),
+    });
     result
 }
 
@@ -1385,22 +1345,6 @@ pub struct Simulator<'g, P: Protocol> {
     /// static-topology execution path.
     churn_plan: Option<ChurnPlan>,
     churn_events: Vec<ChurnEvent>,
-    /// Tracing request; `None` (the default) disables all recording and
-    /// leaves every execution path byte-identical to the untraced build.
-    trace_cfg: Option<TraceConfig>,
-    /// Timeline recorded by the most recent [`Self::run`] (when enabled).
-    trace: Option<RunTrace>,
-    /// Traffic-class profiling request; `None` (the default) records
-    /// nothing and leaves every path byte-identical to an unprofiled run.
-    profile_cfg: Option<ProfileConfig>,
-    /// Profile recorded by the most recent [`Self::run`] (when enabled).
-    profile: Option<TrafficProfile>,
-    /// Runtime-execution telemetry request; `None` (the default) records
-    /// nothing and leaves every path byte-identical to an uninstrumented
-    /// run.
-    telemetry_cfg: Option<TelemetryConfig>,
-    /// Telemetry recorded by the most recent [`Self::run`] (when enabled).
-    telemetry: Option<RunTelemetry>,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
@@ -1431,109 +1375,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             crashed: vec![false; n],
             churn_plan: None,
             churn_events: Vec::new(),
-            trace_cfg: None,
-            trace: None,
-            profile_cfg: None,
-            profile: None,
-            telemetry_cfg: None,
-            telemetry: None,
         })
-    }
-
-    /// Enables round-level tracing for every subsequent [`Self::run`].
-    ///
-    /// Recording never changes observable behavior: `Metrics`, protocol
-    /// state, and RNG streams are byte-identical with tracing on or off,
-    /// on the clean, faulty, and churned execution paths alike.
-    pub fn with_trace(mut self, cfg: TraceConfig) -> Self {
-        self.trace_cfg = Some(cfg);
-        self
-    }
-
-    /// The timeline recorded by the most recent [`Self::run`], if tracing
-    /// was enabled. A run aborted by an error leaves the rounds recorded up
-    /// to the abort (with an empty `final_edge_load`).
-    pub fn trace(&self) -> Option<&RunTrace> {
-        self.trace.as_ref()
-    }
-
-    /// Takes ownership of the most recent run's timeline.
-    pub fn take_trace(&mut self) -> Option<RunTrace> {
-        self.trace.take()
-    }
-
-    /// Enables traffic-class profiling for every subsequent [`Self::run`].
-    ///
-    /// Like tracing, profiling never changes observable behavior: `Metrics`,
-    /// `RunTrace`, protocol state, and RNG streams are byte-identical with
-    /// profiling on or off, on every execution path. When tracing is also
-    /// enabled the profile is additionally attached to the run's
-    /// [`RunTrace::profile`].
-    pub fn with_profile(mut self, cfg: ProfileConfig) -> Self {
-        self.profile_cfg = Some(cfg);
-        self
-    }
-
-    /// The traffic profile recorded by the most recent [`Self::run`], if
-    /// profiling was enabled.
-    pub fn profile(&self) -> Option<&TrafficProfile> {
-        self.profile.as_ref()
-    }
-
-    /// Takes ownership of the most recent run's traffic profile.
-    pub fn take_profile(&mut self) -> Option<TrafficProfile> {
-        self.profile.take()
-    }
-
-    /// Enables runtime-execution telemetry for every subsequent
-    /// [`Self::run`]: per-round step wall-time and work counters, engine
-    /// gauges (active-set occupancy, inbox/staged depths, wake-queue depth,
-    /// arena bytes), a fixed-capacity flight recorder of the last K rounds,
-    /// and optional NDJSON streaming ([`TelemetryConfig::stream_to`]).
-    ///
-    /// Same contract as [`Self::with_trace`] / [`Self::with_profile`]:
-    /// recording never changes observable behavior — `Metrics`, protocol
-    /// state, RNG streams, traces, and profiles are byte-identical with
-    /// telemetry on or off, on every execution path. When a run ends in an
-    /// error the flight recorder is automatically dumped to
-    /// `experiments_out/flightrec_<run_id>.json` (see
-    /// [`crate::telemetry::dump_flight`]); call
-    /// [`Self::dump_flight_recorder`] for degraded-but-successful outcomes.
-    pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.telemetry_cfg = Some(cfg);
-        self
-    }
-
-    /// The telemetry recorded by the most recent [`Self::run`], if enabled.
-    /// A run aborted by an error keeps everything recorded up to the abort.
-    pub fn telemetry(&self) -> Option<&RunTelemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Takes ownership of the most recent run's telemetry.
-    pub fn take_telemetry(&mut self) -> Option<RunTelemetry> {
-        self.telemetry.take()
-    }
-
-    /// Dumps the most recent run's flight recorder (last K rounds plus the
-    /// in-window fault/churn events) to
-    /// `<AMT_REPORT_DIR|experiments_out>/flightrec_<run_id>.json`, returning
-    /// the path. For *degraded* outcomes the simulator cannot judge —
-    /// errored runs dump automatically. `None` if telemetry was off (or the
-    /// dump could not be written; a failed dump never raises).
-    pub fn dump_flight_recorder(&self, reason: &str) -> Option<std::path::PathBuf> {
-        let telemetry = self.telemetry.as_ref()?;
-        let run_id = self
-            .telemetry_cfg
-            .as_ref()
-            .map_or("run", |tc| tc.run_id.as_str());
-        crate::telemetry::dump_flight(
-            telemetry,
-            run_id,
-            reason,
-            &self.fault_events,
-            &self.churn_events,
-        )
     }
 
     /// Attaches a [`FaultPlan`] to apply on every subsequent [`Self::run`].
@@ -1613,39 +1455,60 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// [`CongestError::RoundLimitExceeded`], or
     /// [`CongestError::FaultPlanInvalid`].
     pub fn run(&mut self, cfg: &RunConfig) -> Result<Metrics> {
-        self.run_inner(cfg, false)
+        self.run_observed(cfg, &mut NoObserver)
+    }
+
+    /// [`Self::run`] watched by `obs`: a [`crate::RunTrace`],
+    /// [`crate::TrafficProfile`], [`crate::TelemetryRecorder`], or a tuple
+    /// of them (see [`crate::observe`]).
+    ///
+    /// Observation never changes observable behavior: `Metrics`, protocol
+    /// state, RNG streams, and fault/churn logs are byte-identical to
+    /// [`Self::run`], on the clean, faulty, and churned execution paths
+    /// alike. A run that dies with an error still reaches the observer's
+    /// [`Observer::end_run`] — the telemetry recorder dumps its flight
+    /// recorder there.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`].
+    pub fn run_observed<O: Observer>(&mut self, cfg: &RunConfig, obs: &mut O) -> Result<Metrics> {
+        self.run_inner(cfg, false, obs)
     }
 
     /// Runs with the per-round node visit order reversed — a test hook for
     /// the determinism contract: by the contract the result is
-    /// byte-identical to [`Self::run`].
+    /// byte-identical to [`Self::run_observed`].
     #[doc(hidden)]
-    pub fn run_reverse_visit(&mut self, cfg: &RunConfig) -> Result<Metrics> {
-        self.run_inner(cfg, true)
+    pub fn run_reverse_visit<O: Observer>(
+        &mut self,
+        cfg: &RunConfig,
+        obs: &mut O,
+    ) -> Result<Metrics> {
+        self.run_inner(cfg, true, obs)
     }
 
-    fn run_inner(&mut self, cfg: &RunConfig, reverse_visit: bool) -> Result<Metrics> {
-        self.trace = None;
-        self.profile = None;
-        self.telemetry = None;
+    fn run_inner<O: Observer>(
+        &mut self,
+        cfg: &RunConfig,
+        reverse_visit: bool,
+        obs: &mut O,
+    ) -> Result<Metrics> {
         self.churn_events.clear();
         // Take both plans for the duration of the run instead of cloning
         // them (schedules can be long-lived and big); they are restored
         // before returning.
         let fault_plan = self.fault_plan.take();
         let churn_plan = self.churn_plan.take();
-        let result = self.run_planned(cfg, fault_plan.as_ref(), churn_plan.as_ref(), reverse_visit);
+        let result = self.run_planned(
+            cfg,
+            fault_plan.as_ref(),
+            churn_plan.as_ref(),
+            reverse_visit,
+            obs,
+        );
         self.fault_plan = fault_plan;
         self.churn_plan = churn_plan;
-        // A telemetry-enabled run that dies takes its post-mortem with it:
-        // the flight recorder's final K rounds, dumped where the report
-        // artifacts go. Dump failures are swallowed — the run's own error
-        // is the story.
-        if let Err(e) = &result {
-            if self.telemetry.is_some() {
-                self.dump_flight_recorder(&format!("{e}"));
-            }
-        }
         result
     }
 
@@ -1653,12 +1516,13 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// instantiations. Trivial plans take the exact clean hooks, so
     /// attaching them is observably free; each non-trivial axis swaps in
     /// its stateful hook ([`FaultState`] / [`ChurnState`]) independently.
-    fn run_planned(
+    fn run_planned<O: Observer>(
         &mut self,
         cfg: &RunConfig,
         fault_plan: Option<&FaultPlan>,
         churn_plan: Option<&ChurnPlan>,
         reverse_visit: bool,
+        obs: &mut O,
     ) -> Result<Metrics> {
         let n = self.graph.len();
         let faulty = fault_plan.filter(|p| !p.is_trivial());
@@ -1671,9 +1535,15 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             None => None,
         };
         match (faulty, &sched) {
-            (None, None) => {
-                self.dispatch(cfg, &mut NoFaults, &mut NoChurn, None, &[], reverse_visit)
-            }
+            (None, None) => self.dispatch(
+                cfg,
+                &mut NoFaults,
+                &mut NoChurn,
+                None,
+                &[],
+                reverse_visit,
+                obs,
+            ),
             (Some(plan), None) => {
                 let mut fs = FaultState::new(plan, n)?;
                 let crash_round = plan.crash_rounds(n);
@@ -1684,6 +1554,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                     None,
                     &crash_round,
                     reverse_visit,
+                    obs,
                 );
                 self.fault_events = std::mem::take(&mut fs.events);
                 self.crashed = std::mem::take(&mut fs.crashed);
@@ -1691,8 +1562,15 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             }
             (None, Some(sched)) => {
                 let mut cs = ChurnState::new(sched);
-                let result =
-                    self.dispatch(cfg, &mut NoFaults, &mut cs, Some(sched), &[], reverse_visit);
+                let result = self.dispatch(
+                    cfg,
+                    &mut NoFaults,
+                    &mut cs,
+                    Some(sched),
+                    &[],
+                    reverse_visit,
+                    obs,
+                );
                 self.churn_events = std::mem::take(&mut cs.events);
                 result
             }
@@ -1707,6 +1585,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                     Some(sched),
                     &crash_round,
                     reverse_visit,
+                    obs,
                 );
                 self.fault_events = std::mem::take(&mut fs.events);
                 self.crashed = std::mem::take(&mut fs.crashed);
@@ -1719,7 +1598,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// Picks the engine strategy (active-set vs full sweep), precomputes
     /// the run's [`Wakeups`] event streams, and runs the unified engine
     /// over [`InlineStepper`].
-    fn dispatch<H: FaultHook, C: ChurnHook>(
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch<H: FaultHook, C: ChurnHook, O: Observer>(
         &mut self,
         cfg: &RunConfig,
         hook: &mut H,
@@ -1727,6 +1607,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         sched: Option<&ChurnSchedule>,
         crash_round: &[u64],
         reverse_visit: bool,
+        obs: &mut O,
     ) -> Result<Metrics> {
         let sparse = P::SPARSE_AWARE && !cfg.full_sweep;
         let mut crash_events: Vec<(u64, u32)> = crash_round
@@ -1751,18 +1632,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         let budget_bits = cfg.budget_factor * bits_for_count(self.graph.len().max(2));
         self.edge_load.clear();
         self.edge_load.resize(self.graph.edge_count(), 0);
-        let trace_cfg = self.trace_cfg;
-        let profile_cfg = self.profile_cfg;
-        let telemetry_cfg = self.telemetry_cfg.clone();
         let Simulator {
             nodes,
             rngs,
             csr,
             edge_load,
             scratch,
-            trace,
-            profile,
-            telemetry,
             ..
         } = self;
         let csr: &Csr = csr;
@@ -1788,12 +1663,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             hook,
             churn,
             &wk,
-            trace_cfg,
-            trace,
-            profile_cfg,
-            profile,
-            telemetry_cfg.as_ref(),
-            telemetry,
+            obs,
         );
         scratch.staged = stepper.staged;
         result
@@ -1803,6 +1673,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{RunTelemetry, TelemetryConfig, TelemetryRecorder};
+    use crate::trace::RunTrace;
+    use crate::TrafficProfile;
     use amt_graphs::EdgeId;
     use rand::RngExt;
 
@@ -2010,7 +1883,7 @@ mod tests {
         // The reverse test visit reports the same canonical error.
         let err = Simulator::new(&g, mk(true), 0)
             .unwrap()
-            .run_reverse_visit(&cfg)
+            .run_reverse_visit(&cfg, &mut NoObserver)
             .unwrap_err();
         assert_eq!(
             err,
@@ -2021,7 +1894,7 @@ mod tests {
         );
         let err = Simulator::new(&g, mk(false), 0)
             .unwrap()
-            .run_reverse_visit(&cfg)
+            .run_reverse_visit(&cfg, &mut NoObserver)
             .unwrap_err();
         assert_eq!(
             err,
@@ -2227,7 +2100,7 @@ mod tests {
         let mut fwd = Simulator::new(&g, walker_fleet(32), 9).unwrap();
         let m_fwd = fwd.run(&cfg).unwrap();
         let mut rev = Simulator::new(&g, walker_fleet(32), 9).unwrap();
-        let m_rev = rev.run_reverse_visit(&cfg).unwrap();
+        let m_rev = rev.run_reverse_visit(&cfg, &mut NoObserver).unwrap();
         assert_eq!(m_fwd, m_rev, "metrics must not depend on visit order");
         let t_fwd: Vec<u64> = fwd.nodes().iter().map(|p| p.trace).collect();
         let t_rev: Vec<u64> = rev.nodes().iter().map(|p| p.trace).collect();
@@ -2252,7 +2125,7 @@ mod tests {
             let mut sim = Simulator::new(&g, walker_fleet(32), 9).unwrap();
             let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let m = if reverse {
-                sim.run_reverse_visit(&cfg).unwrap()
+                sim.run_reverse_visit(&cfg, &mut NoObserver).unwrap()
             } else {
                 sim.run(&cfg).unwrap()
             };
@@ -2332,18 +2205,16 @@ mod tests {
         // first fire); AllDone keeps both engines going until the beacons
         // are spent, timers included.
         let run = |reverse: bool, full_sweep: bool| {
-            let mut sim = Simulator::new(&g, ticker_fleet(6), 3)
-                .unwrap()
-                .with_trace(TraceConfig::default());
+            let mut sim = Simulator::new(&g, ticker_fleet(6), 3).unwrap();
+            let mut trace = RunTrace::default();
             let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
             let m = if reverse {
-                sim.run_reverse_visit(&cfg)
+                sim.run_reverse_visit(&cfg, &mut trace)
             } else {
-                sim.run(&cfg)
+                sim.run_observed(&cfg, &mut trace)
             }
             .unwrap();
             let got: Vec<Vec<u64>> = sim.nodes().iter().map(|p| p.got.clone()).collect();
-            let trace = sim.take_trace().unwrap();
             (m, got, trace)
         };
         let strip_active = |mut t: RunTrace| {
@@ -2398,7 +2269,7 @@ mod tests {
                 .with_fault_plan(plan.clone());
             let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let m = if reverse {
-                sim.run_reverse_visit(&cfg)
+                sim.run_reverse_visit(&cfg, &mut NoObserver)
             } else {
                 sim.run(&cfg)
             }
@@ -2442,7 +2313,15 @@ mod tests {
             let mut fs = FaultState::new(&plan, g.len()).unwrap();
             let crash_round = plan.crash_rounds(g.len());
             let m_forced = forced
-                .dispatch(&cfg, &mut fs, &mut NoChurn, None, &crash_round, reverse)
+                .dispatch(
+                    &cfg,
+                    &mut fs,
+                    &mut NoChurn,
+                    None,
+                    &crash_round,
+                    reverse,
+                    &mut NoObserver,
+                )
                 .unwrap();
 
             assert_eq!(m_clean, m_forced, "reverse = {reverse}: metrics diverged");
@@ -2484,7 +2363,15 @@ mod tests {
             let sched = plan.normalize(g.len(), g.edge_count());
             let mut cs = ChurnState::new(&sched);
             let m_forced = forced
-                .dispatch(&cfg, &mut NoFaults, &mut cs, Some(&sched), &[], reverse)
+                .dispatch(
+                    &cfg,
+                    &mut NoFaults,
+                    &mut cs,
+                    Some(&sched),
+                    &[],
+                    reverse,
+                    &mut NoObserver,
+                )
                 .unwrap();
             assert_eq!(m_clean, m_forced, "reverse = {reverse}: metrics diverged");
             let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
@@ -2495,70 +2382,90 @@ mod tests {
         }
     }
 
-    /// Profiling must be observably free (byte-identical `Metrics`, state,
-    /// and edge loads) and exact: per-class totals sum to the run's
-    /// `Metrics` and per-edge loads, on both engine strategies.
+    /// Runs the walker workload on `g` observed by `obs`: the metrics,
+    /// protocol state, and edge loads the observer contract keeps fixed.
+    fn observed_walk<O: Observer>(
+        g: &Graph,
+        full_sweep: bool,
+        obs: &mut O,
+    ) -> (Metrics, Vec<u64>, Vec<u64>) {
+        let mut sim = Simulator::new(g, walker_fleet(32), 77).unwrap();
+        let cfg = RunConfig::default().with_full_sweep(full_sweep);
+        let m = sim.run_observed(&cfg, obs).unwrap();
+        let state = sim.nodes().iter().map(|p| p.trace).collect();
+        (m, state, sim.edge_load().to_vec())
+    }
+
+    /// The observer contract, once for every sink. Observing a run with a
+    /// trace, a profile, telemetry, or all three composed changes no
+    /// observable (metrics, protocol state, edge loads) on either engine
+    /// strategy; each sink reconciles exactly with the run it watched; and
+    /// a composed sink records exactly what it records alone.
     #[test]
-    fn profiling_is_observably_free_and_sums_exactly() {
+    fn observers_are_observably_free_and_exact() {
+        // The unobserved path compiles the per-round records away.
+        const { assert!(!NoObserver::ROUNDS && !NoObserver::EVENTS) };
+        // Telemetry minus its host wall-times: the deterministic part.
+        let logical = |t: &RunTelemetry| {
+            let unwalled = |h: &RoundHealth| RoundHealth {
+                step_wall_nanos: 0,
+                ..h.clone()
+            };
+            (
+                (t.rounds, t.hwm, t.nodes_stepped, t.messages_staged),
+                t.history.iter().map(unwalled).collect::<Vec<_>>(),
+                t.recent
+                    .frames()
+                    .map(|f| (f.sample, unwalled(&f.health)))
+                    .collect::<Vec<_>>(),
+            )
+        };
         let g = amt_graphs::generators::hypercube(5);
         for full_sweep in [false, true] {
-            let cfg = RunConfig::default().with_full_sweep(full_sweep);
-            let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
-            let m_plain = plain.run(&cfg).unwrap();
-            assert!(plain.profile().is_none(), "profiling is off by default");
-
-            let mut profiled = Simulator::new(&g, walker_fleet(32), 77)
-                .unwrap()
-                .with_profile(ProfileConfig::default());
-            let m_profiled = profiled.run(&cfg).unwrap();
-            assert_eq!(
-                m_plain, m_profiled,
-                "full_sweep = {full_sweep}: profiling changed metrics"
+            let plain = observed_walk(&g, full_sweep, &mut NoObserver);
+            let mut trace = RunTrace::new(2);
+            let mut profile = TrafficProfile::default();
+            let mut telemetry = TelemetryRecorder::new(TelemetryConfig::default());
+            let mut all = (
+                RunTrace::new(2),
+                TrafficProfile::default(),
+                TelemetryRecorder::new(TelemetryConfig::default()),
             );
-            let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
-            let s_profiled: Vec<u64> = profiled.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(s_plain, s_profiled, "profiling changed protocol state");
-            assert_eq!(plain.edge_load(), profiled.edge_load());
+            for (sink, run) in [
+                ("trace", observed_walk(&g, full_sweep, &mut trace)),
+                ("profile", observed_walk(&g, full_sweep, &mut profile)),
+                ("telemetry", observed_walk(&g, full_sweep, &mut telemetry)),
+                ("composed", observed_walk(&g, full_sweep, &mut all)),
+            ] {
+                assert_eq!(
+                    run, plain,
+                    "full_sweep = {full_sweep}: the {sink} sink changed the run"
+                );
+            }
+            let (m, _, loads) = &plain;
 
-            let profile = profiled.take_profile().expect("profiling was enabled");
-            assert_eq!(profile.total_messages(), m_profiled.messages);
-            assert_eq!(profile.total_bits(), m_profiled.bits);
-            assert_eq!(profile.edge_messages_total(), profiled.edge_load());
+            // The timeline reconstructs the run's metrics exactly.
+            assert_eq!(trace.reconstruct_metrics(), *m);
+            assert_eq!(trace.samples.len() as u64, m.rounds + 1);
+            assert!(trace.events.iter().any(|e| e.label == "token_seen"));
+            assert!(!trace.snapshots.is_empty());
+            assert_eq!(&trace.final_edge_load, loads);
+
+            // Per-class totals sum exactly to the metrics and edge loads.
+            assert_eq!(profile.total_messages(), m.messages);
+            assert_eq!(profile.total_bits(), m.bits);
+            assert_eq!(&profile.edge_messages_total(), loads);
             // TokenWalker never picks a class, so everything is DEFAULT.
             assert_eq!(profile.per_class.len(), 1);
             assert_eq!(profile.per_class[0].class, class::DEFAULT);
-            let a = profile.analyze(10);
-            assert_eq!(a.max_edge_congestion, m_profiled.max_edge_congestion);
-        }
-    }
-
-    /// Telemetry honours the same contract as tracing and profiling: off by
-    /// default, and enabling it perturbs no observable — while its own
-    /// logical counters reconcile exactly with the run it watched.
-    #[test]
-    fn telemetry_is_observably_free() {
-        let g = amt_graphs::generators::hypercube(5);
-        for full_sweep in [false, true] {
-            let cfg = RunConfig::default().with_full_sweep(full_sweep);
-            let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
-            let m_plain = plain.run(&cfg).unwrap();
-            assert!(plain.telemetry().is_none(), "telemetry is off by default");
-
-            let mut watched = Simulator::new(&g, walker_fleet(32), 77)
-                .unwrap()
-                .with_telemetry(TelemetryConfig::default());
-            let m_watched = watched.run(&cfg).unwrap();
             assert_eq!(
-                m_plain, m_watched,
-                "full_sweep = {full_sweep}: telemetry changed metrics"
+                profile.analyze(10).max_edge_congestion,
+                m.max_edge_congestion
             );
-            let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
-            let s_watched: Vec<u64> = watched.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(s_plain, s_watched, "telemetry changed protocol state");
-            assert_eq!(plain.edge_load(), watched.edge_load());
 
-            let t = watched.take_telemetry().expect("telemetry was enabled");
-            assert_eq!(t.rounds, m_watched.rounds);
+            // Telemetry's logical counters reconcile with the run.
+            let t = telemetry.telemetry();
+            assert_eq!(t.rounds, m.rounds);
             // Every round stepped at least the nodes that did work, and the
             // staging counter reconciles with the message total.
             assert!(t.nodes_stepped > 0);
@@ -2567,71 +2474,29 @@ mod tests {
                 t.history.iter().map(|h| h.nodes_stepped).sum::<u64>()
             );
             assert_eq!(
-                t.messages_staged, m_watched.messages,
+                t.messages_staged, m.messages,
                 "full_sweep = {full_sweep}: staged sends must sum to the run's messages"
             );
-            assert_eq!(t.history.len() as u64, m_watched.rounds + 1);
+            assert_eq!(t.history.len() as u64, m.rounds + 1);
             assert!(!t.recent.is_empty(), "flight recorder retains rounds");
             assert_eq!(
                 t.recent.frames().last().map(|f| f.health.round),
-                Some(m_watched.rounds),
+                Some(m.rounds),
                 "flight recorder ends at the final round"
             );
             assert!(t.hwm.active_nodes >= 1);
-        }
-    }
 
-    /// With tracing and profiling both on, the profile rides on the
-    /// `RunTrace` and matches the one taken from the simulator.
-    #[test]
-    fn profile_is_attached_to_the_trace() {
-        let g = amt_graphs::generators::hypercube(4);
-        let mut sim = Simulator::new(&g, walker_fleet(16), 5)
-            .unwrap()
-            .with_trace(TraceConfig::default())
-            .with_profile(ProfileConfig::default());
-        sim.run(&RunConfig::default()).unwrap();
-        let trace = sim.take_trace().unwrap();
-        let profile = sim.take_profile().unwrap();
-        assert_eq!(trace.profile.as_ref(), Some(&profile));
-        // Tracing alone leaves `RunTrace::profile` empty.
-        let mut untraced = Simulator::new(&g, walker_fleet(16), 5)
-            .unwrap()
-            .with_trace(TraceConfig::default());
-        untraced.run(&RunConfig::default()).unwrap();
-        assert!(untraced.take_trace().unwrap().profile.is_none());
-    }
-
-    /// Enabling tracing must not change a single observable bit, and the
-    /// recorded timeline must reconstruct the run's `Metrics` exactly, on
-    /// both engine strategies of the clean path.
-    #[test]
-    fn tracing_is_observably_free_and_replays_metrics() {
-        let g = amt_graphs::generators::hypercube(5);
-        for full_sweep in [false, true] {
-            let cfg = RunConfig::default().with_full_sweep(full_sweep);
-            let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
-            let m_plain = plain.run(&cfg).unwrap();
-            assert!(plain.trace().is_none(), "tracing is off by default");
-
-            let mut traced = Simulator::new(&g, walker_fleet(32), 77)
-                .unwrap()
-                .with_trace(TraceConfig::default().with_edge_load_stride(2));
-            let m_traced = traced.run(&cfg).unwrap();
+            // Composed sinks record exactly their solo outputs.
+            assert_eq!(all.0, trace, "composed trace diverged from its solo run");
             assert_eq!(
-                m_plain, m_traced,
-                "full_sweep = {full_sweep}: tracing changed metrics"
+                all.1, profile,
+                "composed profile diverged from its solo run"
             );
-            let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
-            let s_traced: Vec<u64> = traced.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(s_plain, s_traced, "tracing changed protocol state");
-
-            let trace = traced.take_trace().expect("tracing was enabled");
-            assert_eq!(trace.reconstruct_metrics(), m_traced);
-            assert_eq!(trace.samples.len() as u64, m_traced.rounds + 1);
-            assert!(trace.events.iter().any(|e| e.label == "token_seen"));
-            assert!(!trace.snapshots.is_empty());
-            assert_eq!(trace.final_edge_load, traced.edge_load());
+            assert_eq!(
+                logical(all.2.telemetry()),
+                logical(t),
+                "composed telemetry diverged from its solo run"
+            );
         }
     }
 
@@ -2641,12 +2506,14 @@ mod tests {
     fn trace_events_merge_in_sequential_order() {
         let g = amt_graphs::generators::hypercube(5);
         let run = |full_sweep: bool| {
-            let mut sim = Simulator::new(&g, walker_fleet(32), 5)
-                .unwrap()
-                .with_trace(TraceConfig::default());
-            sim.run(&RunConfig::default().with_full_sweep(full_sweep))
-                .unwrap();
-            sim.take_trace().unwrap().events
+            let mut sim = Simulator::new(&g, walker_fleet(32), 5).unwrap();
+            let mut trace = RunTrace::default();
+            sim.run_observed(
+                &RunConfig::default().with_full_sweep(full_sweep),
+                &mut trace,
+            )
+            .unwrap();
+            trace.events
         };
         let baseline = run(false);
         assert!(!baseline.is_empty());
@@ -2774,13 +2641,13 @@ mod tests {
         let plan = ChurnPlan::none().with_edge_outage(EdgeId(0), 2, 2);
         let mut sim = Simulator::new(&g, pinger_pair(8), 5)
             .unwrap()
-            .with_churn_plan(plan)
-            .with_trace(TraceConfig::default());
+            .with_churn_plan(plan);
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
         };
-        let m = sim.run(&cfg).unwrap();
+        let mut trace = RunTrace::default();
+        let m = sim.run_observed(&cfg, &mut trace).unwrap();
         // Both endpoints send every round; rounds 2 and 3 are eaten by the
         // outage in both directions.
         assert_eq!(m.lost_to_churn, 4);
@@ -2806,7 +2673,6 @@ mod tests {
         );
         // The per-round timeline carries the losses and sums back to the
         // run's metrics (the reconstruct contract extends to churn).
-        let trace = sim.take_trace().unwrap();
         assert_eq!(trace.samples[2].lost_to_churn, 2);
         assert_eq!(trace.samples[3].lost_to_churn, 2);
         assert_eq!(trace.samples[2].nodes_down, 0);
@@ -2875,7 +2741,7 @@ mod tests {
                 .with_churn_plan(plan.clone());
             let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let m = if reverse {
-                sim.run_reverse_visit(&cfg).unwrap()
+                sim.run_reverse_visit(&cfg, &mut NoObserver).unwrap()
             } else {
                 sim.run(&cfg).unwrap()
             };

@@ -10,10 +10,10 @@
 //!
 //! # Contract
 //!
-//! * **Off by default, zero cost.** Telemetry is off unless
-//!   [`crate::Simulator::with_telemetry`] is called; a disabled run takes
-//!   the exact same code path — `Metrics`, protocol state, RNG streams,
-//!   traces, and profiles are byte-identical with telemetry on or off.
+//! * **Off unless observed.** A [`TelemetryRecorder`] is an [`Observer`]
+//!   sink passed to [`crate::Simulator::run_observed`]; a run without one
+//!   records nothing, and with one `Metrics`, protocol state, RNG streams,
+//!   traces, and profiles are byte-identical to the unobserved run.
 //! * **Exact logical gauges.** Active-set occupancy, inbox/staged queue
 //!   depths, wake-queue depth, and arena byte high-water marks are pure
 //!   functions of the run (graph, seed, config, plans): the same across
@@ -27,15 +27,18 @@
 //!   deterministic.
 //! * **Telemetry never fails a run.** Stream and dump I/O errors are
 //!   swallowed; a full flight recorder evicts its oldest frame.
+//! * **Errored runs leave a post-mortem.** When an observed run ends in a
+//!   [`crate::CongestError`], the recorder dumps its flight recorder with
+//!   [`dump_flight`].
 
+use crate::observe::{Observer, RoundRecord, RunEnd};
 use crate::trace::{Distribution, RoundSample};
 use crate::{ChurnEvent, FaultEvent};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// What to record and where to stream it, attached via
-/// [`crate::Simulator::with_telemetry`].
+/// What a [`TelemetryRecorder`] records and where it streams it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetryConfig {
     /// Rounds retained by the flight recorder ring buffer (oldest frames
@@ -45,13 +48,9 @@ pub struct TelemetryConfig {
     /// [`RunTelemetry::history`] (default `true`). Disable for soak runs
     /// where only the high-water marks and the flight recorder matter.
     pub history: bool,
-    /// Stream one NDJSON round snapshot per [`TelemetryConfig::stream_stride`]
-    /// rounds (plus the final round) to this path, so long runs are
-    /// watchable in flight. `None` (the default) streams nothing.
+    /// Stream one NDJSON round snapshot per round to this path, so long
+    /// runs are watchable in flight. `None` (the default) streams nothing.
     pub stream_to: Option<PathBuf>,
-    /// Stride between streamed rounds (`1` = every round). Zero is
-    /// normalized to 1.
-    pub stream_stride: u64,
     /// Identifier used to name flight-recorder dumps
     /// (`flightrec_<run_id>.json`).
     pub run_id: String,
@@ -63,7 +62,6 @@ impl Default for TelemetryConfig {
             flight_capacity: 64,
             history: true,
             stream_to: None,
-            stream_stride: 1,
             run_id: "run".to_string(),
         }
     }
@@ -83,15 +81,9 @@ impl TelemetryConfig {
         self
     }
 
-    /// Streams strided NDJSON round snapshots to `path`.
+    /// Streams NDJSON round snapshots to `path`.
     pub fn stream_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.stream_to = Some(path.into());
-        self
-    }
-
-    /// Sets the stride between streamed rounds.
-    pub fn with_stream_stride(mut self, stride: u64) -> Self {
-        self.stream_stride = stride.max(1);
         self
     }
 
@@ -225,7 +217,7 @@ impl Default for FlightRecorder {
     }
 }
 
-/// Everything one telemetry-enabled run recorded.
+/// Everything one observed run's telemetry recorded.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunTelemetry {
     /// Rounds recorded.
@@ -263,85 +255,98 @@ impl RunTelemetry {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Engine-side recording state
-// ---------------------------------------------------------------------------
-
-/// Live recording state owned by the round engine while telemetry is on.
-/// Folds each round into aggregates, the ring, the optional history, and
-/// the optional NDJSON stream; [`TelemetryState::finish`] yields the
-/// [`RunTelemetry`].
-pub(crate) struct TelemetryState {
+/// The telemetry sink: folds each observed round into the aggregates, the
+/// flight-recorder ring, the optional history, and the optional NDJSON
+/// stream. Each observed run starts it afresh; read the result with
+/// [`TelemetryRecorder::telemetry`].
+#[derive(Debug)]
+pub struct TelemetryRecorder {
     cfg: TelemetryConfig,
     out: RunTelemetry,
     stream: Option<std::io::BufWriter<std::fs::File>>,
-    last_streamed: Option<u64>,
 }
 
-impl TelemetryState {
-    pub(crate) fn new(cfg: TelemetryConfig) -> Self {
-        // Stream I/O must never fail the run: an unopenable sink simply
-        // streams nothing.
-        let stream = cfg
-            .stream_to
-            .as_ref()
-            .and_then(|p| std::fs::File::create(p).ok())
-            .map(std::io::BufWriter::new);
+impl TelemetryRecorder {
+    /// A recorder for `cfg`.
+    pub fn new(cfg: TelemetryConfig) -> Self {
         let out = RunTelemetry {
             recent: FlightRecorder::new(cfg.flight_capacity),
             ..RunTelemetry::default()
         };
-        TelemetryState {
+        TelemetryRecorder {
             cfg,
             out,
-            stream,
-            last_streamed: None,
+            stream: None,
         }
     }
 
-    pub(crate) fn record_round(&mut self, sample: RoundSample, health: RoundHealth) {
+    /// What the most recent observed run recorded (everything up to the
+    /// abort, for a run that errored).
+    pub fn telemetry(&self) -> &RunTelemetry {
+        &self.out
+    }
+
+    /// Takes the most recent run's telemetry.
+    pub fn into_telemetry(self) -> RunTelemetry {
+        self.out
+    }
+
+    fn record_round(&mut self, sample: RoundSample, health: RoundHealth) {
         self.out.rounds = health.round;
         self.out.hwm.absorb(&health);
         self.out.nodes_stepped += health.nodes_stepped;
         self.out.messages_staged += health.staged_sends;
         self.out.step_wall_nanos += health.step_wall_nanos;
-        let stride = self.cfg.stream_stride.max(1);
-        if health.round.is_multiple_of(stride) {
-            self.stream_frame(&sample, &health);
+        if let Some(w) = self.stream.as_mut() {
+            // A failed write disables the stream rather than failing the
+            // run.
+            if w.write_all(ndjson_line(&sample, &health).as_bytes())
+                .is_err()
+            {
+                self.stream = None;
+            }
         }
         if self.cfg.history {
             self.out.history.push(health.clone());
         }
         self.out.recent.push(FlightFrame { sample, health });
     }
+}
 
-    fn stream_frame(&mut self, sample: &RoundSample, health: &RoundHealth) {
-        let Some(w) = self.stream.as_mut() else {
-            return;
-        };
-        let line = ndjson_line(sample, health);
-        // A failed write disables the stream rather than failing the run.
-        if w.write_all(line.as_bytes()).is_err() {
-            self.stream = None;
-            return;
-        }
-        self.last_streamed = Some(health.round);
+impl Observer for TelemetryRecorder {
+    const ROUNDS: bool = true;
+
+    fn begin_run(&mut self, _edge_count: usize) {
+        *self = TelemetryRecorder::new(self.cfg.clone());
+        // Stream I/O must never fail the run: an unopenable sink simply
+        // streams nothing.
+        self.stream = self
+            .cfg
+            .stream_to
+            .as_ref()
+            .and_then(|p| std::fs::File::create(p).ok())
+            .map(std::io::BufWriter::new);
     }
 
-    /// Flushes the stream (emitting the final round if the stride skipped
-    /// it) and yields the recorded telemetry.
-    pub(crate) fn finish(mut self) -> RunTelemetry {
-        if self.stream.is_some() {
-            if let Some(last) = self.out.recent.frames.back().cloned() {
-                if self.last_streamed != Some(last.health.round) {
-                    self.stream_frame(&last.sample, &last.health);
-                }
-            }
-            if let Some(w) = self.stream.as_mut() {
-                let _ = w.flush();
-            }
+    fn on_round(&mut self, record: &RoundRecord<'_>) {
+        self.record_round(record.sample, record.health.clone());
+    }
+
+    fn end_run(&mut self, end: &RunEnd<'_>) {
+        if let Some(mut w) = self.stream.take() {
+            let _ = w.flush();
         }
-        self.out
+        // A run that dies takes its post-mortem with it; dump failures are
+        // swallowed — the run's own error is the story.
+        if let Err(e) = end.result {
+            dump_flight(
+                &self.out,
+                &self.cfg.run_id,
+                &format!("{e}"),
+                end.fault_events,
+                end.churn_events,
+            );
+        }
     }
 }
 
@@ -579,7 +584,7 @@ mod tests {
 
     #[test]
     fn telemetry_state_accumulates_counters_and_hwm() {
-        let mut st = TelemetryState::new(TelemetryConfig::default().with_flight_capacity(2));
+        let mut st = TelemetryRecorder::new(TelemetryConfig::default().with_flight_capacity(2));
         for round in 0..4u64 {
             let mut h = health(round, 10 * (round + 1));
             h.wake_queue = round; // rising gauge
@@ -592,7 +597,7 @@ mod tests {
                 h,
             );
         }
-        let t = st.finish();
+        let t = st.into_telemetry();
         assert_eq!(t.rounds, 3);
         assert_eq!(t.hwm.wake_queue, 3);
         assert_eq!(t.hwm.active_nodes, 13);
@@ -608,7 +613,7 @@ mod tests {
 
     #[test]
     fn without_history_keeps_aggregates_only() {
-        let mut st = TelemetryState::new(
+        let mut st = TelemetryRecorder::new(
             TelemetryConfig::default()
                 .without_history()
                 .with_flight_capacity(8),
@@ -622,7 +627,7 @@ mod tests {
                 health(round, 5),
             );
         }
-        let t = st.finish();
+        let t = st.into_telemetry();
         assert!(t.history.is_empty());
         assert_eq!(t.recent.len(), 3);
         assert_eq!(t.wake_queue_distribution(), None);
@@ -631,7 +636,7 @@ mod tests {
 
     #[test]
     fn flight_dump_renders_frames_and_filters_events() {
-        let mut st = TelemetryState::new(TelemetryConfig::default().with_flight_capacity(2));
+        let mut st = TelemetryRecorder::new(TelemetryConfig::default().with_flight_capacity(2));
         for round in 0..5u64 {
             st.record_round(
                 RoundSample {
@@ -642,7 +647,7 @@ mod tests {
                 health(round, 100),
             );
         }
-        let t = st.finish();
+        let t = st.into_telemetry();
         let faults = vec![
             FaultEvent {
                 round: 0, // before the ring window: filtered out

@@ -5,42 +5,26 @@
 //! [`RoundSample`] per executed round (messages, bits, per-round fault
 //! counts), the protocol-emitted [`TraceEvent`] stream
 //! ([`crate::Ctx::trace_event`]), optional cumulative per-edge load
-//! snapshots at a configurable stride, and the final per-edge load vector.
+//! snapshots at a stride fixed by [`RunTrace::new`], and the final per-edge
+//! load vector. A `RunTrace` is an [`Observer`] sink: pass it to
+//! [`crate::Simulator::run_observed`]; a `Vec<RunTrace>` records one
+//! timeline per observed run (the per-phase traces of multi-stage drivers).
 //!
 //! # Contract
 //!
-//! * **Disabled by default, zero overhead.** Tracing is off unless
-//!   [`crate::Simulator::with_trace`] is called; a disabled run takes the
-//!   exact same code path bit for bit — `Metrics`, protocol state, and RNG
-//!   streams are byte-identical with tracing on or off.
+//! * **Off unless observed.** A run without a trace sink records nothing;
+//!   with one, `Metrics`, protocol state, and RNG streams are
+//!   byte-identical to the unobserved run.
 //! * **Deterministic.** Samples are recorded once per round in round order;
 //!   events are recorded in `(round, node)` order.
 //! * **Lossless accounting.** Summing the timeline reproduces the run's
 //!   `Metrics` exactly — see [`RunTrace::reconstruct_metrics`], which tests
 //!   use to cross-check the simulator's own accounting.
 
-use crate::profile::TrafficProfile;
+use crate::observe::{Observer, RoundRecord, RunEnd};
 use crate::Metrics;
 use amt_graphs::NodeId;
 use std::time::Duration;
-
-/// What a [`RunTrace`] should record, attached via
-/// [`crate::Simulator::with_trace`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Record a cumulative per-edge load snapshot every `edge_load_stride`
-    /// rounds (at rounds `0, s, 2s, …`); `0` (the default) records none.
-    /// The final per-edge loads are always captured on successful runs.
-    pub edge_load_stride: u64,
-}
-
-impl TraceConfig {
-    /// Config with per-edge load snapshots every `stride` rounds.
-    pub fn with_edge_load_stride(mut self, stride: u64) -> Self {
-        self.edge_load_stride = stride;
-        self
-    }
-}
 
 /// Aggregate deliveries and faults of one executed round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -104,31 +88,109 @@ pub struct EdgeLoadSnapshot {
     pub load: Vec<u64>,
 }
 
-/// The recorded timeline of one [`crate::Simulator::run`].
+/// The recorded timeline of one observed [`crate::Simulator`] run.
+///
+/// A run that aborts with an error keeps the rounds recorded up to the
+/// abort (with an empty `final_edge_load`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunTrace {
     /// One sample per executed round, in round order.
     pub samples: Vec<RoundSample>,
     /// Protocol-emitted events in `(round, node)` order.
     pub events: Vec<TraceEvent>,
-    /// Cumulative per-edge load snapshots ([`TraceConfig::edge_load_stride`]).
+    /// Cumulative per-edge load snapshots every `edge_load_stride` rounds.
     /// When the stride is non-zero the series always ends with a final-round
     /// snapshot, whether or not the stride divides the stopping round.
     pub snapshots: Vec<EdgeLoadSnapshot>,
-    /// The snapshot stride the run actually used — a copy of
-    /// [`TraceConfig::edge_load_stride`], stamped by the engine so readers
-    /// of a detached trace don't have to carry the config alongside it
-    /// (0 = snapshots disabled).
+    /// Snapshot stride: a cumulative per-edge load snapshot is taken at
+    /// rounds `0, s, 2s, …`; 0 (the default) takes none.
     pub edge_load_stride: u64,
     /// Final cumulative per-edge loads (empty if the run aborted early).
     pub final_edge_load: Vec<u64>,
-    /// Traffic-class profile of the run, when profiling was enabled
-    /// alongside tracing ([`crate::Simulator::with_profile`]); `None`
-    /// otherwise, so untraced comparisons are unaffected.
-    pub profile: Option<TrafficProfile>,
+}
+
+/// Records one run's timeline; each observed run starts it afresh.
+impl Observer for RunTrace {
+    const ROUNDS: bool = true;
+    const EVENTS: bool = true;
+
+    fn begin_run(&mut self, _edge_count: usize) {
+        *self = RunTrace::new(self.edge_load_stride);
+    }
+
+    fn on_events(&mut self, events: &[TraceEvent]) {
+        self.events.extend_from_slice(events);
+    }
+
+    fn on_round(&mut self, record: &RoundRecord<'_>) {
+        let round = record.sample.round;
+        self.samples.push(record.sample);
+        if self.edge_load_stride > 0 && round.is_multiple_of(self.edge_load_stride) {
+            self.snapshots.push(EdgeLoadSnapshot {
+                round,
+                load: record.edge_load.to_vec(),
+            });
+        }
+    }
+
+    fn end_run(&mut self, end: &RunEnd<'_>) {
+        let Ok(metrics) = end.result else {
+            return;
+        };
+        self.final_edge_load = end.edge_load.to_vec();
+        // Strided snapshots always include the final round: without this, a
+        // stride that does not divide the stopping round would leave the
+        // series ending mid-run.
+        if self.edge_load_stride > 0
+            && self.snapshots.last().map(|s| s.round) != Some(metrics.rounds)
+        {
+            self.snapshots.push(EdgeLoadSnapshot {
+                round: metrics.rounds,
+                load: end.edge_load.to_vec(),
+            });
+        }
+    }
+}
+
+/// Records one [`RunTrace`] per observed run (snapshot stride 0), in run
+/// order, each on its run's own clock.
+impl Observer for Vec<RunTrace> {
+    const ROUNDS: bool = true;
+    const EVENTS: bool = true;
+
+    fn begin_run(&mut self, _edge_count: usize) {
+        self.push(RunTrace::default());
+    }
+
+    fn on_events(&mut self, events: &[TraceEvent]) {
+        self.last_mut()
+            .expect("begin_run pushed this run's trace")
+            .on_events(events);
+    }
+
+    fn on_round(&mut self, record: &RoundRecord<'_>) {
+        self.last_mut()
+            .expect("begin_run pushed this run's trace")
+            .on_round(record);
+    }
+
+    fn end_run(&mut self, end: &RunEnd<'_>) {
+        self.last_mut()
+            .expect("begin_run pushed this run's trace")
+            .end_run(end);
+    }
 }
 
 impl RunTrace {
+    /// An empty trace sink taking per-edge load snapshots every
+    /// `edge_load_stride` rounds (0: none).
+    pub fn new(edge_load_stride: u64) -> Self {
+        RunTrace {
+            edge_load_stride,
+            ..RunTrace::default()
+        }
+    }
+
     /// Rebuilds the run's [`Metrics`] from the timeline alone.
     ///
     /// For a successful run this is *exactly* the value returned by
@@ -440,7 +502,6 @@ mod tests {
             snapshots: Vec::new(),
             edge_load_stride: 0,
             final_edge_load: vec![3, 7, 0],
-            profile: None,
         };
         let m = trace.reconstruct_metrics();
         assert_eq!(

@@ -7,10 +7,10 @@
 //! clean, faulty, and churned runs and visit-order reversal. The workload mixes the two sparse wake sources:
 //! mail-driven random token forwarding and `Ctx::wake_in` beacon timers.
 
-use amt_congest::trace::{RunTrace, TraceConfig};
 use amt_congest::{
-    ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, ProfileConfig, Protocol, RunConfig,
-    RunTelemetry, Simulator, TelemetryConfig, TrafficProfile,
+    ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, NoObserver, Observer, Protocol,
+    RunConfig, RunTelemetry, RunTrace, Simulator, TelemetryConfig, TelemetryRecorder,
+    TrafficProfile,
 };
 use amt_graphs::{generators, EdgeId, Graph, GraphBuilder, NodeId};
 use rand::RngExt;
@@ -122,6 +122,21 @@ fn observe(scenario: Scenario, reverse: bool, full_sweep: bool) -> Observation {
     observe_full(scenario, reverse, full_sweep, false).0
 }
 
+/// Runs `sim` observed by `obs`, forward or with the visit order reversed.
+fn run_observed<P: Protocol, O: Observer>(
+    sim: &mut Simulator<'_, P>,
+    cfg: &RunConfig,
+    reverse: bool,
+    obs: &mut O,
+) -> Metrics {
+    if reverse {
+        sim.run_reverse_visit(cfg, obs)
+    } else {
+        sim.run_observed(cfg, obs)
+    }
+    .unwrap()
+}
+
 fn observe_full(
     scenario: Scenario,
     reverse: bool,
@@ -129,13 +144,7 @@ fn observe_full(
     telemetry: bool,
 ) -> (Observation, Option<RunTelemetry>) {
     let g = generators::hypercube(6);
-    let mut sim = Simulator::new(&g, fleet(g.len()), 2024)
-        .unwrap()
-        .with_trace(TraceConfig::default().with_edge_load_stride(2))
-        .with_profile(ProfileConfig::default());
-    if telemetry {
-        sim = sim.with_telemetry(TelemetryConfig::default());
-    }
+    let mut sim = Simulator::new(&g, fleet(g.len()), 2024).unwrap();
     match scenario {
         Scenario::Clean => {}
         Scenario::Faulty => {
@@ -159,18 +168,21 @@ fn observe_full(
         }
     }
     let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
-    let metrics = if reverse {
-        sim.run_reverse_visit(&cfg)
+    let mut obs = (
+        (RunTrace::new(2), TrafficProfile::default()),
+        TelemetryRecorder::new(TelemetryConfig::default()),
+    );
+    let metrics = if telemetry {
+        run_observed(&mut sim, &cfg, reverse, &mut obs)
     } else {
-        sim.run(&cfg)
-    }
-    .unwrap();
-    let mut trace = sim.take_trace().unwrap();
+        run_observed(&mut sim, &cfg, reverse, &mut obs.0)
+    };
+    let ((mut trace, profile), recorder) = obs;
     let active_total = trace.samples.iter().map(|s| s.active_nodes).sum();
     for s in &mut trace.samples {
         s.active_nodes = 0;
     }
-    let run_telemetry = sim.take_telemetry();
+    let run_telemetry = telemetry.then(|| recorder.into_telemetry());
     (
         Observation {
             metrics,
@@ -179,7 +191,7 @@ fn observe_full(
             fault_events: sim.fault_events().to_vec(),
             crashed: sim.crashed_nodes(),
             churn_events: sim.churn_events().to_vec(),
-            profile: sim.take_profile().unwrap(),
+            profile,
             // Reverse visits keep per-round events in reverse node order by
             // long-standing contract, so the timeline is only part of the
             // cross-engine comparison for forward runs.
@@ -323,12 +335,7 @@ fn churned_runs_match_full_sweep_reference() {
 fn digest_run(g: &Graph, reverse: bool, full_sweep: bool) -> (Metrics, Vec<u64>) {
     let mut sim = Simulator::new(g, fleet(g.len()), 2024).unwrap();
     let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
-    let m = if reverse {
-        sim.run_reverse_visit(&cfg)
-    } else {
-        sim.run(&cfg)
-    }
-    .unwrap();
+    let m = run_observed(&mut sim, &cfg, reverse, &mut NoObserver);
     (m, sim.nodes().iter().map(|p| p.digest).collect())
 }
 
@@ -404,17 +411,10 @@ fn rounds_with_empty_active_sets_match_across_strategies() {
                 digest: 0,
             })
             .collect();
-        let mut sim = Simulator::new(&g, nodes, 7)
-            .unwrap()
-            .with_trace(TraceConfig::default());
+        let mut sim = Simulator::new(&g, nodes, 7).unwrap();
         let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
-        let m = if reverse {
-            sim.run_reverse_visit(&cfg)
-        } else {
-            sim.run(&cfg)
-        }
-        .unwrap();
-        let trace = sim.take_trace().unwrap();
+        let mut trace = RunTrace::default();
+        let m = run_observed(&mut sim, &cfg, reverse, &mut trace);
         let empty_rounds = trace.samples.iter().filter(|s| s.active_nodes == 0).count();
         let digests: Vec<u64> = sim.nodes().iter().map(|p| p.digest).collect();
         (m, digests, empty_rounds)

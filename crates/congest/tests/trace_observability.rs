@@ -3,7 +3,6 @@
 
 use amt_congest::{
     ChurnPlan, Ctx, FaultKind, FaultPlan, Metrics, Protocol, RunConfig, RunTrace, Simulator,
-    TraceConfig,
 };
 use amt_graphs::{EdgeId, Graph, NodeId};
 use rand::RngExt;
@@ -67,22 +66,17 @@ type RunResult = (Metrics, RunTrace, Vec<u64>, Vec<u64>);
 /// that is non-trivial (so it takes the hooked code path) but can never
 /// fire (a crash or outage scheduled far beyond termination).
 fn run_sim(mut sim: Simulator<'_, Walker>) -> RunResult {
-    let m = sim.run(&RunConfig::default()).unwrap();
+    let mut trace = RunTrace::new(3);
+    let m = sim.run_observed(&RunConfig::default(), &mut trace).unwrap();
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
     let loads = sim.edge_load().to_vec();
-    (m, sim.take_trace().unwrap(), digests, loads)
+    (m, trace, digests, loads)
 }
 
 #[test]
 fn clean_and_inert_fault_and_churn_paths_agree() {
     let g = amt_graphs::generators::hypercube(5);
-    let clean = || {
-        run_sim(
-            Simulator::new(&g, fleet(32), 2024)
-                .unwrap()
-                .with_trace(TraceConfig::default().with_edge_load_stride(3)),
-        )
-    };
+    let clean = || run_sim(Simulator::new(&g, fleet(32), 2024).unwrap());
     let baseline = clean();
     assert!(baseline.0.messages > 0, "workload must send traffic");
     assert!(!baseline.1.events.is_empty(), "workload must emit events");
@@ -95,8 +89,7 @@ fn clean_and_inert_fault_and_churn_paths_agree() {
     let faulty = run_sim(
         Simulator::new(&g, fleet(32), 2024)
             .unwrap()
-            .with_fault_plan(inert)
-            .with_trace(TraceConfig::default().with_edge_load_stride(3)),
+            .with_fault_plan(inert),
     );
     assert_eq!(faulty, baseline, "inert fault plan diverged from clean run");
 
@@ -106,8 +99,7 @@ fn clean_and_inert_fault_and_churn_paths_agree() {
     let churned = run_sim(
         Simulator::new(&g, fleet(32), 2024)
             .unwrap()
-            .with_churn_plan(inert)
-            .with_trace(TraceConfig::default().with_edge_load_stride(3)),
+            .with_churn_plan(inert),
     );
     assert_eq!(
         churned, baseline,
@@ -186,14 +178,13 @@ fn corrupted_frame_bits_count_delivered_widths() {
     };
     let mut sim = Simulator::new(&g, mk(sends), 9)
         .unwrap()
-        .with_fault_plan(FaultPlan::none().seeded(31).with_corruption(1.0))
-        .with_trace(TraceConfig::default());
+        .with_fault_plan(FaultPlan::none().seeded(31).with_corruption(1.0));
     let cfg = RunConfig {
         budget_factor: 64,
         ..RunConfig::all_done()
     };
-    let m = sim.run(&cfg).unwrap();
-    let trace = sim.take_trace().unwrap();
+    let mut trace = RunTrace::default();
+    let m = sim.run_observed(&cfg, &mut trace).unwrap();
 
     // Every staged frame was hit by the corruption fault.
     assert_eq!(m.corrupted, sends, "all frames must be corrupted");
@@ -248,11 +239,10 @@ fn corrupted_frame_bits_count_delivered_widths() {
 fn strided_snapshots_always_include_the_final_round() {
     let g = amt_graphs::generators::hypercube(4);
     let probe = |stride| {
-        let mut sim = Simulator::new(&g, fleet(16), 7)
-            .unwrap()
-            .with_trace(TraceConfig::default().with_edge_load_stride(stride));
-        let m = sim.run(&RunConfig::default()).unwrap();
-        (m, sim.take_trace().unwrap())
+        let mut sim = Simulator::new(&g, fleet(16), 7).unwrap();
+        let mut trace = RunTrace::new(stride);
+        let m = sim.run_observed(&RunConfig::default(), &mut trace).unwrap();
+        (m, trace)
     };
     let (baseline, _) = probe(1);
     let run_len = baseline.rounds;
@@ -285,10 +275,9 @@ fn faulty_timeline_replays_metrics_exactly() {
         .with_crash(NodeId(3), 4);
     let mut sim = Simulator::new(&g, fleet(16), 55)
         .unwrap()
-        .with_fault_plan(plan)
-        .with_trace(TraceConfig::default().with_edge_load_stride(1));
-    let m = sim.run(&RunConfig::default()).unwrap();
-    let trace = sim.take_trace().unwrap();
+        .with_fault_plan(plan);
+    let mut trace = RunTrace::new(1);
+    let m = sim.run_observed(&RunConfig::default(), &mut trace).unwrap();
 
     assert_eq!(trace.reconstruct_metrics(), m);
     assert!(m.message_faults() > 0, "plan must actually inject faults");

@@ -9,8 +9,8 @@
 
 use crate::{reference::UnionFind, MstError, Result};
 use amt_congest::{
-    bits_for_value, class, Ctx, Metrics, PhaseTimings, ProfileConfig, Protocol, RunConfig,
-    Simulator, TrafficClass, TrafficProfile,
+    bits_for_value, class, Ctx, Metrics, NoObserver, Observer, PhaseTimings, Protocol, RunConfig,
+    Simulator, TrafficClass,
 };
 use amt_graphs::{EdgeId, WeightedGraph};
 use std::collections::HashSet;
@@ -80,17 +80,18 @@ impl Protocol for MinFlood {
 }
 
 /// Floods per-node initial `u64` values to minima over the subgraph whose
-/// edges are in `active`, returning the converged values, metrics, and —
-/// when `profile` is set — the flood's traffic profile. Messages are
-/// attributed to `class`.
-pub(crate) fn min_flood(
+/// edges are in `active`, returning the converged values and metrics. The
+/// run is observed by `obs` with its round 0 at global round `at`;
+/// messages are attributed to `class`.
+pub(crate) fn min_flood<O: Observer>(
     wg: &WeightedGraph,
     active: &HashSet<EdgeId>,
     init: &[u64],
     seed: u64,
     class: TrafficClass,
-    profile: Option<ProfileConfig>,
-) -> Result<(Vec<u64>, Metrics, Option<TrafficProfile>)> {
+    obs: &mut O,
+    at: u64,
+) -> Result<(Vec<u64>, Metrics)> {
     let g = wg.graph();
     let nodes = g
         .nodes()
@@ -107,18 +108,15 @@ pub(crate) fn min_flood(
         })
         .collect();
     let mut sim = Simulator::new(g, nodes, seed)?;
-    if let Some(pc) = profile {
-        sim = sim.with_profile(pc);
-    }
     // Candidate values carry (weight, edge id); allow the wider encoding —
     // still O(log n) bits for polynomially bounded weights.
     let cfg = RunConfig {
         budget_factor: 24,
         ..RunConfig::default()
     };
-    let metrics = sim.run(&cfg)?;
-    let prof = sim.take_profile();
-    Ok((sim.nodes().iter().map(|p| p.value).collect(), metrics, prof))
+    obs.set_round_offset(at);
+    let metrics = sim.run_observed(&cfg, obs)?;
+    Ok((sim.nodes().iter().map(|p| p.value).collect(), metrics))
 }
 
 /// Encodes a `(canonical weight, edge)` candidate as one orderable `u64`.
@@ -132,40 +130,44 @@ pub(crate) fn decode_edge(wg: &WeightedGraph, v: u64) -> EdgeId {
     EdgeId((v & ((1 << bits) - 1)) as u32)
 }
 
-/// Runs the baseline; weights must satisfy `weight · 2m < 2^63` (checked).
+/// Runs the baseline; weights must satisfy `weight · 2m < 2^63`.
 ///
 /// # Errors
 ///
-/// [`MstError::Graph`] on disconnected input, [`MstError::Congest`] on
-/// simulator violations, [`MstError::TooManyIterations`] as a bug guard.
+/// [`MstError::Graph`] on disconnected input, [`MstError::WeightTooLarge`]
+/// when a weight does not fit the candidate encoding,
+/// [`MstError::Congest`] on simulator violations,
+/// [`MstError::TooManyIterations`] as a bug guard.
 pub fn run(wg: &WeightedGraph, seed: u64) -> Result<CongestMstOutcome> {
-    let (out, _) = run_instrumented(wg, seed, None)?;
-    Ok(out)
+    run_observed(wg, seed, &mut NoObserver)
 }
 
-/// [`run`] with opt-in traffic profiling: when `profile` is set, the
-/// returned [`TrafficProfile`] accumulates every flood's traffic across
-/// iterations (candidate floods under [`class::MST_FLOOD`], label floods
-/// under [`class::MST_LABEL`]), with totals summing exactly to the
-/// outcome's message count. Profiling never changes the outcome.
+/// [`run`] with every flood observed by `obs` on the run's global round
+/// clock (which counts one fragment-id round per iteration besides the
+/// floods): a [`amt_congest::TrafficProfile`] accumulates candidate floods
+/// under [`class::MST_FLOOD`] and label floods under [`class::MST_LABEL`],
+/// with totals summing exactly to the outcome's message count. Observing
+/// never changes the outcome.
 ///
 /// # Errors
 ///
 /// As [`run`].
-pub fn run_instrumented(
+pub fn run_observed<O: Observer>(
     wg: &WeightedGraph,
     seed: u64,
-    profile: Option<ProfileConfig>,
-) -> Result<(CongestMstOutcome, Option<TrafficProfile>)> {
+    obs: &mut O,
+) -> Result<CongestMstOutcome> {
     let g = wg.graph();
     g.require_connected()?;
     let n = g.len();
     let bits = bits_for_value(wg.edge_count() as u64) + 1;
-    if let Some(max_w) = wg.weights().iter().max() {
-        assert!(
-            max_w.leading_zeros() as usize > bits,
-            "weights too large for the candidate encoding"
-        );
+    if let Some(&max_w) = wg.weights().iter().max() {
+        if max_w.leading_zeros() as usize <= bits {
+            return Err(MstError::WeightTooLarge {
+                weight: max_w,
+                limit: (1u64 << (63 - bits)) - 1,
+            });
+        }
     }
     let mut comp: Vec<u64> = (0..n as u64).collect();
     let mut forest: HashSet<EdgeId> = HashSet::new();
@@ -173,14 +175,6 @@ pub fn run_instrumented(
     let mut metrics = Metrics::default();
     let mut iterations = 0u32;
     let mut wall = PhaseTimings::new();
-    let mut total_profile: Option<TrafficProfile> = None;
-    let absorb = |total: &mut Option<TrafficProfile>, p: Option<TrafficProfile>, at: u64| {
-        if let Some(p) = p {
-            total
-                .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
-                .absorb(&p, at);
-        }
-    };
     let cap = 2 * (n.max(2) as f64).log2().ceil() as u32 + 10;
 
     while comp.iter().collect::<HashSet<_>>().len() > 1 {
@@ -201,17 +195,16 @@ pub fn run_instrumented(
                     .map_or(u64::MAX, |(e, _)| encode(wg, e))
             })
             .collect();
-        let at = metrics.rounds;
-        let (vals, m1, p1) = min_flood(
+        let (vals, m1) = min_flood(
             wg,
             &forest,
             &init,
             seed ^ u64::from(iterations),
             class::MST_FLOOD,
-            profile,
+            obs,
+            metrics.rounds,
         )?;
         metrics = metrics.then(m1);
-        absorb(&mut total_profile, p1, at);
         wall.record("candidate_flood", t0.elapsed());
 
         // Merge along every fragment's minimum outgoing edge.
@@ -242,33 +235,29 @@ pub fn run_instrumented(
         // Flood new fragment labels (min node id) over the grown forest.
         let t0 = Instant::now();
         let label_init: Vec<u64> = (0..n as u64).collect();
-        let at = metrics.rounds;
-        let (labels, m2, p2) = min_flood(
+        let (labels, m2) = min_flood(
             wg,
             &forest,
             &label_init,
             seed ^ 0xF00D ^ u64::from(iterations),
             class::MST_LABEL,
-            profile,
+            obs,
+            metrics.rounds,
         )?;
         metrics = metrics.then(m2);
-        absorb(&mut total_profile, p2, at);
         comp = labels;
         wall.record("label_flood", t0.elapsed());
     }
 
     tree_edges.sort_unstable();
-    Ok((
-        CongestMstOutcome {
-            total_weight: wg.total_weight(&tree_edges),
-            tree_edges,
-            rounds: metrics.rounds,
-            iterations,
-            messages: metrics.messages,
-            wall,
-        },
-        total_profile,
-    ))
+    Ok(CongestMstOutcome {
+        total_weight: wg.total_weight(&tree_edges),
+        tree_edges,
+        rounds: metrics.rounds,
+        iterations,
+        messages: metrics.messages,
+        wall,
+    })
 }
 
 #[cfg(test)]
@@ -318,6 +307,21 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let wg = WeightedGraph::new(g, vec![1, 2]).unwrap();
         assert!(matches!(run(&wg, 0), Err(MstError::Graph(_))));
+    }
+
+    #[test]
+    fn oversized_weight_is_a_typed_error() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        // m = 3 edges take 3 low bits of a candidate, so weights must stay
+        // below 2^60.
+        let wg = WeightedGraph::new(g, vec![1 << 62, 5, 7]).unwrap();
+        assert_eq!(
+            run(&wg, 0).unwrap_err(),
+            MstError::WeightTooLarge {
+                weight: 1 << 62,
+                limit: (1 << 60) - 1,
+            }
+        );
     }
 
     #[test]

@@ -19,6 +19,14 @@ pub enum MstError {
         /// The configured iteration cap.
         cap: u32,
     },
+    /// An edge weight does not fit the driver's candidate encoding (a
+    /// weight and an edge id packed into one CONGEST message).
+    WeightTooLarge {
+        /// The largest weight of the input.
+        weight: u64,
+        /// The largest weight the encoding can carry for this graph.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for MstError {
@@ -30,6 +38,10 @@ impl fmt::Display for MstError {
             MstError::TooManyIterations { cap } => {
                 write!(f, "forest not connected after {cap} Boruvka iterations")
             }
+            MstError::WeightTooLarge { weight, limit } => write!(
+                f,
+                "edge weight {weight} exceeds the candidate encoding's limit {limit}"
+            ),
         }
     }
 }
@@ -74,5 +86,11 @@ mod tests {
         assert!(std::error::Error::source(&e).is_some());
         let e = MstError::TooManyIterations { cap: 64 };
         assert!(e.to_string().contains("64"));
+        let e = MstError::WeightTooLarge {
+            weight: 1 << 62,
+            limit: 15,
+        };
+        assert!(e.to_string().contains("4611686018427387904"));
+        assert!(e.to_string().contains("15"));
     }
 }

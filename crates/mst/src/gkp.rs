@@ -78,13 +78,14 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
                     .map_or(u64::MAX, |(e, _)| crate::congest_boruvka::encode(wg, e))
             })
             .collect();
-        let (vals, m, _) = crate::congest_boruvka::min_flood(
+        let (vals, m) = crate::congest_boruvka::min_flood(
             wg,
             &forest,
             &init,
             seed ^ u64::from(iters),
             amt_congest::class::MST_FLOOD,
-            None,
+            &mut amt_congest::NoObserver,
+            0,
         )?;
         phase1 = phase1.then(m);
 
@@ -104,13 +105,14 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
             }
         }
         // Relabel fragments (flood of min node id over the grown forest).
-        let (labels, m2, _) = crate::congest_boruvka::min_flood(
+        let (labels, m2) = crate::congest_boruvka::min_flood(
             wg,
             &forest,
             &(0..n as u64).collect::<Vec<_>>(),
             seed ^ 0xBEEF ^ u64::from(iters),
             amt_congest::class::MST_LABEL,
-            None,
+            &mut amt_congest::NoObserver,
+            0,
         )?;
         phase1 = phase1.then(m2);
         comp = labels;

@@ -47,8 +47,8 @@ use crate::reference::UnionFind;
 use crate::{MstError, Result};
 use amt_congest::{
     bits_for_value, class, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind, FaultPlan, Metrics,
-    ProfileConfig, Protocol, RecoveryTimeline, Reliable, ReliableLink, RunConfig, RunTrace,
-    Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
+    NoObserver, Observer, Protocol, RecoveryTimeline, Reliable, ReliableLink, RunConfig, Simulator,
+    StopCondition, TrafficClass,
 };
 use amt_graphs::{EdgeId, Graph, NodeId, WeightedGraph};
 use std::collections::{HashMap, HashSet};
@@ -129,40 +129,6 @@ impl Protocol for ReliableMinFlood {
     }
 }
 
-/// Observability knobs and outputs of one healing phase — threaded through
-/// [`reliable_min_flood`] so the per-phase simulators can be traced and
-/// profiled without widening every return tuple.
-struct PhaseObs {
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-    traces: Vec<RunTrace>,
-    total_profile: Option<TrafficProfile>,
-}
-
-impl PhaseObs {
-    fn new(trace: Option<TraceConfig>, profile: Option<ProfileConfig>) -> Self {
-        PhaseObs {
-            trace,
-            profile,
-            traces: Vec::new(),
-            total_profile: None,
-        }
-    }
-
-    /// Collects one finished phase's trace/profile from `sim`, folding the
-    /// profile in at cumulative round offset `at`.
-    fn collect(&mut self, sim: &mut Simulator<'_, ReliableMinFlood>, at: u64) {
-        if let Some(t) = sim.take_trace() {
-            self.traces.push(t);
-        }
-        if let Some(p) = sim.take_profile() {
-            self.total_profile
-                .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
-                .absorb(&p, at);
-        }
-    }
-}
-
 /// What one flooding phase observed besides its converged values.
 struct PhaseDamage {
     /// Nodes newly crash-stopped by the fault plan this phase.
@@ -180,9 +146,9 @@ struct PhaseDamage {
 /// observed ([`PhaseDamage`]). Data frames are attributed to `class`;
 /// `phase` is the global phase number for `"mst_phase"` spans. Damage
 /// events (crashes, outages, cuts) open spans in `timeline` on the global
-/// clock.
+/// clock; `obs` observes the phase at global round `elapsed`.
 #[allow(clippy::too_many_arguments)]
-fn reliable_min_flood(
+fn reliable_min_flood<O: Observer>(
     wg: &WeightedGraph,
     active: &HashSet<EdgeId>,
     dead: &[bool],
@@ -196,8 +162,7 @@ fn reliable_min_flood(
     timeline: &mut RecoveryTimeline,
     class: TrafficClass,
     phase: u64,
-    obs: &mut PhaseObs,
-    rounds_so_far: u64,
+    obs: &mut O,
 ) -> Result<(Vec<u64>, Metrics, PhaseDamage)> {
     let g = wg.graph();
     let nodes = g
@@ -232,20 +197,14 @@ fn reliable_min_flood(
     let mut sim = Simulator::new(g, nodes, seed)?
         .with_fault_plan(phase_plan)
         .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed));
-    if let Some(tc) = obs.trace {
-        sim = sim.with_trace(tc);
-    }
-    if let Some(pc) = obs.profile {
-        sim = sim.with_profile(pc);
-    }
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         budget_factor: 32,
         max_rounds: 500_000,
         ..RunConfig::default()
     };
-    let metrics = sim.run(&cfg)?;
-    obs.collect(&mut sim, rounds_so_far);
+    obs.set_round_offset(elapsed);
+    let metrics = sim.run_observed(&cfg, obs)?;
     for e in sim.fault_events() {
         if matches!(e.kind, FaultKind::Crashed) {
             crash_rounds.entry(e.node.0).or_insert(elapsed + e.round);
@@ -411,31 +370,11 @@ pub struct HealedMstOutcome {
 /// [`MstError::Graph`] on disconnected input, [`MstError::Congest`] on
 /// simulator violations or invalid plans — including
 /// [`CongestError::NodeCrashed`] when the crashes disconnect the surviving
-/// subgraph — and [`MstError::TooManyIterations`] as a bug guard.
+/// subgraph — [`MstError::WeightTooLarge`] when a weight does not fit the
+/// candidate encoding of the 34-bit ARQ payload, and
+/// [`MstError::TooManyIterations`] as a bug guard.
 pub fn run_healing(wg: &WeightedGraph, seed: u64, plan: FaultPlan) -> Result<HealedMstOutcome> {
-    let (out, _, _) = run_healing_instrumented(wg, seed, plan, None, None)?;
-    Ok(out)
-}
-
-/// [`run_healing`] with opt-in observability: when `trace` is set,
-/// returns one [`RunTrace`] per flooding phase (phase starts appear as
-/// `"mst_phase"` span events carrying the global phase number); when
-/// `profile` is set, returns a [`TrafficProfile`] accumulated across all
-/// phases — candidate floods under [`class::MST_FLOOD`], label floods under
-/// [`class::MST_LABEL`], plus the ARQ sublayer's [`class::REL_ACK`] /
-/// [`class::REL_RETRANSMIT`] overhead. Neither changes the outcome.
-///
-/// # Errors
-///
-/// Same as [`run_healing`].
-pub fn run_healing_instrumented(
-    wg: &WeightedGraph,
-    seed: u64,
-    plan: FaultPlan,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
-    run_healing_churned_instrumented(wg, seed, plan, ChurnPlan::none(), trace, profile)
+    run_healing_observed(wg, seed, plan, ChurnPlan::none(), &mut NoObserver)
 }
 
 /// [`run_healing`] under topology churn: fault-tolerant Borůvka
@@ -449,32 +388,35 @@ pub fn run_healing_instrumented(
 /// Same as [`run_healing`], plus [`CongestError::Partitioned`] when
 /// permanent cuts (with any crashes) disconnect the survivors, and
 /// [`CongestError::RetryExhausted`] when one live link's ARQ gives up in
-/// [`MAX_LINK_RETRIES`] phases straight.
+/// `MAX_LINK_RETRIES` (3) phases straight.
 pub fn run_healing_churned(
     wg: &WeightedGraph,
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
 ) -> Result<HealedMstOutcome> {
-    let (out, _, _) = run_healing_churned_instrumented(wg, seed, plan, churn, None, None)?;
-    Ok(out)
+    run_healing_observed(wg, seed, plan, churn, &mut NoObserver)
 }
 
-/// The full healing driver: faults, churn, and opt-in observability in one
-/// signature ([`run_healing_instrumented`] is this with a trivial churn
-/// plan).
+/// The full healing driver — faults, churn, and every flooding phase's
+/// simulator run observed by `obs` at its accumulated round offset. A
+/// `Vec<RunTrace>` sink gets one trace per phase (phase starts appear as
+/// `"mst_phase"` span events carrying the global phase number); a
+/// [`amt_congest::TrafficProfile`] accumulates across phases — candidate
+/// floods under [`class::MST_FLOOD`], label floods under
+/// [`class::MST_LABEL`], plus the ARQ sublayer's [`class::REL_ACK`] /
+/// [`class::REL_RETRANSMIT`] overhead. Observing never changes the outcome.
 ///
 /// # Errors
 ///
 /// Same as [`run_healing_churned`].
-pub fn run_healing_churned_instrumented(
+pub fn run_healing_observed<O: Observer>(
     wg: &WeightedGraph,
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
+    obs: &mut O,
+) -> Result<HealedMstOutcome> {
     let g = wg.graph();
     g.require_connected()?;
     let n = g.len();
@@ -483,11 +425,16 @@ pub fn run_healing_churned_instrumented(
         .validate(n, g.edge_count())
         .map_err(MstError::Congest)?;
     let bits = bits_for_value(wg.edge_count() as u64) + 1;
+    // Candidates must stay below the NO_CANDIDATE sentinel of the 34-bit
+    // ARQ payload, whatever their edge-id bits.
+    let limit = (NO_CANDIDATE >> bits).saturating_sub(1);
     if let Some(&max_w) = wg.weights().iter().max() {
-        assert!(
-            ((max_w << bits) | ((1 << bits) - 1)) < NO_CANDIDATE,
-            "candidate encoding must fit the 34-bit ARQ payload"
-        );
+        if max_w > limit {
+            return Err(MstError::WeightTooLarge {
+                weight: max_w,
+                limit,
+            });
+        }
     }
 
     let mut comp: Vec<u64> = (0..n as u64).collect();
@@ -500,7 +447,6 @@ pub fn run_healing_churned_instrumented(
     let mut crash_rounds: HashMap<u32, u64> = HashMap::new();
     let mut elapsed = 0u64;
     let mut labels_stale = false;
-    let mut obs = PhaseObs::new(trace, profile);
     let mut phase = 0u64;
     let mut timeline = RecoveryTimeline::new();
     let mut cut_tree_edges: Vec<EdgeId> = Vec::new();
@@ -653,8 +599,7 @@ pub fn run_healing_churned_instrumented(
                 &mut timeline,
                 class::MST_LABEL,
                 phase,
-                &mut obs,
-                metrics.rounds,
+                obs,
             )?;
             elapsed += m.rounds;
             metrics = metrics.then(m);
@@ -768,8 +713,7 @@ pub fn run_healing_churned_instrumented(
             &mut timeline,
             class::MST_FLOOD,
             phase,
-            &mut obs,
-            metrics.rounds,
+            obs,
         )?;
         elapsed += m1.rounds;
         metrics = metrics.then(m1);
@@ -874,8 +818,7 @@ pub fn run_healing_churned_instrumented(
             &mut timeline,
             class::MST_LABEL,
             phase,
-            &mut obs,
-            metrics.rounds,
+            obs,
         )?;
         elapsed += m2.rounds;
         metrics = metrics.then(m2);
@@ -939,21 +882,17 @@ pub fn run_healing_churned_instrumented(
     metrics.crashed = dead.iter().filter(|&&d| d).count() as u64;
     tree_edges.sort_unstable();
     cut_tree_edges.sort_unstable();
-    Ok((
-        HealedMstOutcome {
-            total_weight: wg.total_weight(&tree_edges),
-            tree_edges,
-            rounds: metrics.rounds,
-            iterations,
-            phase_restarts,
-            crashed_nodes: (0..n).filter(|&v| dead[v]).map(NodeId::from).collect(),
-            cut_tree_edges,
-            metrics,
-            timeline,
-        },
-        obs.traces,
-        obs.total_profile,
-    ))
+    Ok(HealedMstOutcome {
+        total_weight: wg.total_weight(&tree_edges),
+        tree_edges,
+        rounds: metrics.rounds,
+        iterations,
+        phase_restarts,
+        crashed_nodes: (0..n).filter(|&v| dead[v]).map(NodeId::from).collect(),
+        cut_tree_edges,
+        metrics,
+        timeline,
+    })
 }
 
 #[cfg(test)]
@@ -1005,6 +944,25 @@ mod tests {
         assert!(healed.crashed_nodes.is_empty());
         assert_eq!(healed.metrics.message_faults(), 0);
         assert!(reference::verify_mst(&wg, &healed.tree_edges));
+    }
+
+    #[test]
+    fn oversized_weight_is_a_typed_error() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        // m = 3 edges take 3 low bits of the 34-bit payload, and the
+        // all-ones value is the sentinel: weights must stay below 2^31 - 1.
+        let wg = WeightedGraph::new(g, vec![1 << 31, 5, 7]).unwrap();
+        assert_eq!(
+            run_healing(&wg, 0, FaultPlan::none()).unwrap_err(),
+            MstError::WeightTooLarge {
+                weight: 1 << 31,
+                limit: (1 << 31) - 2,
+            }
+        );
+        // The largest weight within the limit still runs.
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        let wg = WeightedGraph::new(g, vec![(1 << 31) - 2, 5, 7]).unwrap();
+        assert!(run_healing(&wg, 0, FaultPlan::none()).is_ok());
     }
 
     #[test]

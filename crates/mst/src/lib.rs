@@ -13,8 +13,8 @@
 //! * [`gkp`] — a simplified Garay–Kutten–Peleg two-phase `Õ(D + √n)`
 //!   baseline: controlled fragment growth, then pipelined upcasts over a
 //!   global BFS tree.
-//! * [`reference`] — centralized Kruskal/Prim and an MST verifier; every
-//!   distributed variant is checked against them.
+//! * [`reference`](mod@reference) — centralized Kruskal/Prim and an MST
+//!   verifier; every distributed variant is checked against them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,10 +30,7 @@ pub mod verification;
 
 pub use almost_mixing::{AlmostMixingMst, AmtMstOutcome, IterationStats};
 pub use error::MstError;
-pub use healing::{
-    run_healing, run_healing_churned, run_healing_churned_instrumented, run_healing_instrumented,
-    HealedMstOutcome,
-};
+pub use healing::{run_healing, run_healing_churned, run_healing_observed, HealedMstOutcome};
 
 /// Result alias for MST operations.
 pub type Result<T> = std::result::Result<T, MstError>;

@@ -1,5 +1,5 @@
 //! Distributed spanning-tree verification (the problem family of Das Sarma
-//! et al. [17], whose lower bounds motivate the paper).
+//! et al. \[17\], whose lower bounds motivate the paper).
 //!
 //! Given a claimed tree edge set (each node knows which of its incident
 //! edges are claimed), the protocol checks distributedly that the claim is
@@ -12,7 +12,7 @@
 //! 2. every node ends up knowing the verdict.
 //!
 //! Rounds are measured through the CONGEST simulator. (Verifying
-//! *minimality* distributedly is the Ω(D+√n)-hard problem of [17]; the
+//! *minimality* distributedly is the Ω(D+√n)-hard problem of \[17\]; the
 //! almost-mixing-time MST sidesteps it by being Las Vegas — its output is
 //! canonical by construction and checked centrally in tests.)
 
@@ -69,13 +69,14 @@ pub fn verify_spanning_tree_distributed(
     let shim =
         amt_graphs::WeightedGraph::new(g.clone(), vec![1; g.edge_count()]).expect("lengths match");
     let init: Vec<u64> = (0..n as u64).collect();
-    let (labels, m1, _) = crate::congest_boruvka::min_flood(
+    let (labels, m1) = crate::congest_boruvka::min_flood(
         &shim,
         &claimed_set,
         &init,
         seed,
         amt_congest::class::MST_LABEL,
-        None,
+        &mut amt_congest::NoObserver,
+        0,
     )?;
     metrics = metrics.then(m1);
 

@@ -38,9 +38,8 @@
 
 use crate::{Result, RouteError};
 use amt_congest::{
-    bits_for_count, class, ChurnKind, ChurnPlan, Ctx, Metrics, ProfileConfig, Protocol,
-    RecoveryTimeline, RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass,
-    TrafficProfile,
+    bits_for_count, class, ChurnKind, ChurnPlan, Ctx, Metrics, NoObserver, Observer, Protocol,
+    RecoveryTimeline, RunConfig, Simulator, StopCondition, TrafficClass,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -330,70 +329,22 @@ pub fn route_bitfix(
     requests: &[(NodeId, NodeId)],
     seed: u64,
 ) -> Result<CongestRouteOutcome> {
-    let (out, _) = route_bitfix_instrumented(g, requests, seed, None)?;
-    Ok(out)
-}
-
-/// [`route_bitfix`] with opt-in traffic profiling. When `profile` is set,
-/// the returned [`TrafficProfile`] splits the run into
-/// [`class::ROUTE_PORTAL`] (phase-1 detour hops) and
-/// [`class::ROUTE_PAYLOAD`] (phase-2 delivery hops), with totals summing
-/// exactly to the outcome's metrics. The outcome is byte-identical whether
-/// or not profiling is on.
-///
-/// # Errors
-///
-/// As [`route_bitfix`].
-pub fn route_bitfix_instrumented(
-    g: &Graph,
-    requests: &[(NodeId, NodeId)],
-    seed: u64,
-    profile: Option<ProfileConfig>,
-) -> Result<(CongestRouteOutcome, Option<TrafficProfile>)> {
-    let n = g.len();
-    let ports = hypercube_ports(g)?;
-    let dims = n.trailing_zeros();
-    for &(s, t) in requests {
-        if s.index() >= n || t.index() >= n {
-            return Err(RouteError::BadRequest {
-                node: s.index().max(t.index()),
-                n,
-            });
-        }
-    }
-    let mut sources: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    for (i, &(s, t)) in requests.iter().enumerate() {
-        sources[s.index()].push((i as u32, t.0));
-    }
-    let nodes = route_nodes(g, ports, &mut sources, dims);
-    let mut sim = Simulator::new(g, nodes, seed)?;
-    if let Some(pc) = profile {
-        sim = sim.with_profile(pc);
-    }
-    let cfg = RunConfig {
-        stop: StopCondition::AllDone,
-        ..RunConfig::default()
-    };
-    let metrics = sim.run(&cfg)?;
-    let prof = sim.take_profile();
-    let mut endpoints = vec![NodeId(0); requests.len()];
-    let mut delivered = 0usize;
-    for (v, node) in sim.nodes().iter().enumerate() {
-        for p in &node.arrived {
-            assert_eq!(
-                p.dest as usize, v,
-                "bit-fix must deliver to the destination"
-            );
-            endpoints[p.id as usize] = NodeId::from(v);
-            delivered += 1;
-        }
-    }
-    if delivered != requests.len() {
+    // Without churn every hop stays live and the first epoch delivers every
+    // packet, so a degraded outcome here is a bug guard.
+    let out = route_bitfix_observed(g, requests, seed, ChurnPlan::none(), &mut NoObserver)?;
+    if out.degraded() {
         return Err(RouteError::Undelivered {
-            count: requests.len() - delivered,
+            count: out.undelivered.len(),
         });
     }
-    Ok((CongestRouteOutcome { endpoints, metrics }, prof))
+    Ok(CongestRouteOutcome {
+        endpoints: out
+            .endpoints
+            .into_iter()
+            .map(|e| e.expect("every request was delivered"))
+            .collect(),
+        metrics: out.metrics,
+    })
 }
 
 /// Outcome of a churned bit-fix routing run.
@@ -442,25 +393,26 @@ pub fn route_bitfix_churned(
     seed: u64,
     churn: ChurnPlan,
 ) -> Result<ChurnedRouteOutcome> {
-    let (out, _, _) = route_bitfix_churned_instrumented(g, requests, seed, churn, None, None)?;
-    Ok(out)
+    route_bitfix_observed(g, requests, seed, churn, &mut NoObserver)
 }
 
-/// [`route_bitfix_churned`] with opt-in tracing (one [`RunTrace`] per
-/// epoch) and traffic profiling accumulated across epochs. Neither changes
-/// the outcome.
+/// [`route_bitfix_churned`] with every epoch's simulator run observed by
+/// `obs` at its accumulated round offset: a `Vec<RunTrace>` sink gets one
+/// trace per epoch, and a [`amt_congest::TrafficProfile`] splits the run
+/// into [`class::ROUTE_PORTAL`] (phase-1 detour hops) and
+/// [`class::ROUTE_PAYLOAD`] (phase-2 delivery hops), with totals summing
+/// exactly to the outcome's metrics. Observing never changes the outcome.
 ///
 /// # Errors
 ///
 /// As [`route_bitfix_churned`].
-pub fn route_bitfix_churned_instrumented(
+pub fn route_bitfix_observed<O: Observer>(
     g: &Graph,
     requests: &[(NodeId, NodeId)],
     seed: u64,
     churn: ChurnPlan,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(ChurnedRouteOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
+    obs: &mut O,
+) -> Result<ChurnedRouteOutcome> {
     let n = g.len();
     let base_ports = hypercube_ports(g)?;
     let dims = n.trailing_zeros();
@@ -477,8 +429,6 @@ pub fn route_bitfix_churned_instrumented(
     let mut pending: Vec<u32> = (0..requests.len() as u32).collect();
     let mut metrics = Metrics::default();
     let mut timeline = RecoveryTimeline::new();
-    let mut traces: Vec<RunTrace> = Vec::new();
-    let mut total_profile: Option<TrafficProfile> = None;
     let mut rerouted = 0u64;
     let mut elapsed = 0u64;
     let mut epochs = 0u32;
@@ -500,25 +450,12 @@ pub fn route_bitfix_churned_instrumented(
             seed ^ u64::from(epoch).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         )?
         .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed));
-        if let Some(tc) = trace {
-            sim = sim.with_trace(tc);
-        }
-        if let Some(pc) = profile {
-            sim = sim.with_profile(pc);
-        }
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
         };
-        let m = sim.run(&cfg)?;
-        if let Some(t) = sim.take_trace() {
-            traces.push(t);
-        }
-        if let Some(p) = sim.take_profile() {
-            total_profile
-                .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
-                .absorb(&p, elapsed);
-        }
+        obs.set_round_offset(elapsed);
+        let m = sim.run_observed(&cfg, obs)?;
         for ev in sim.churn_events() {
             if matches!(
                 ev.kind,
@@ -547,23 +484,20 @@ pub fn route_bitfix_churned_instrumented(
         }
     }
 
-    Ok((
-        ChurnedRouteOutcome {
-            endpoints,
-            undelivered: pending,
-            epochs,
-            rerouted,
-            metrics,
-            timeline,
-        },
-        traces,
-        total_profile,
-    ))
+    Ok(ChurnedRouteOutcome {
+        endpoints,
+        undelivered: pending,
+        epochs,
+        rerouted,
+        metrics,
+        timeline,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amt_congest::TrafficProfile;
     use amt_graphs::generators;
 
     fn shift_permutation(n: u32, k: u32) -> Vec<(NodeId, NodeId)> {
@@ -581,13 +515,21 @@ mod tests {
         assert!(out.metrics.rounds >= 5, "cross-cube packets take ≥ d hops");
     }
 
+    fn profiled(
+        g: &Graph,
+        reqs: &[(NodeId, NodeId)],
+        seed: u64,
+    ) -> (ChurnedRouteOutcome, TrafficProfile) {
+        let mut prof = TrafficProfile::default();
+        let out = route_bitfix_observed(g, reqs, seed, ChurnPlan::none(), &mut prof).unwrap();
+        (out, prof)
+    }
+
     #[test]
     fn profile_splits_portal_from_payload_and_sums_exactly() {
         let g = generators::hypercube(4);
         let reqs = shift_permutation(16, 5);
-        let (out, prof) =
-            route_bitfix_instrumented(&g, &reqs, 9, Some(ProfileConfig::default())).unwrap();
-        let prof = prof.unwrap();
+        let (out, prof) = profiled(&g, &reqs, 9);
         assert_eq!(prof.total_messages(), out.metrics.messages);
         assert_eq!(prof.total_bits(), out.metrics.bits);
         assert!(prof.stats(class::ROUTE_PORTAL).is_some());
@@ -595,15 +537,16 @@ mod tests {
         // Profiling must not change the run.
         let plain = route_bitfix(&g, &reqs, 9).unwrap();
         assert_eq!(plain.metrics, out.metrics);
-        assert_eq!(plain.endpoints, out.endpoints);
+        let endpoints: Vec<Option<NodeId>> = plain.endpoints.into_iter().map(Some).collect();
+        assert_eq!(endpoints, out.endpoints);
     }
 
     #[test]
     fn profiled_runs_replay_deterministically() {
         let g = generators::hypercube(6);
         let reqs = shift_permutation(64, 13);
-        let a = route_bitfix_instrumented(&g, &reqs, 4, Some(ProfileConfig::default())).unwrap();
-        let b = route_bitfix_instrumented(&g, &reqs, 4, Some(ProfileConfig::default())).unwrap();
+        let a = profiled(&g, &reqs, 4);
+        let b = profiled(&g, &reqs, 4);
         assert_eq!(a.0.endpoints, b.0.endpoints);
         assert_eq!(a.0.metrics, b.0.metrics);
         assert_eq!(a.1, b.1);

@@ -33,9 +33,8 @@ pub mod congest_route;
 pub mod lenzen;
 
 pub use congest_route::{
-    route_bitfix, route_bitfix_churned, route_bitfix_churned_instrumented,
-    route_bitfix_instrumented, ChurnedRouteOutcome, CongestRouteOutcome, MAX_ROUTE_EPOCHS,
-    STALL_LIMIT,
+    route_bitfix, route_bitfix_churned, route_bitfix_observed, ChurnedRouteOutcome,
+    CongestRouteOutcome, MAX_ROUTE_EPOCHS, STALL_LIMIT,
 };
 pub use error::RouteError;
 pub use hierarchical::{EmulationMode, HierarchicalRouter, RouterConfig};

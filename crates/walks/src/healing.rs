@@ -45,8 +45,8 @@
 use crate::{WalkKind, WalkSpec};
 use amt_congest::{
     class, ChurnKind, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind, FaultPlan, Metrics,
-    ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace, Simulator, StopCondition,
-    TraceConfig, TrafficClass, TrafficProfile,
+    NoObserver, Observer, Protocol, RecoveryTimeline, RunConfig, Simulator, StopCondition,
+    TrafficClass,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -408,39 +408,14 @@ pub fn run_walks_healing(
     seed: u64,
     plan: FaultPlan,
 ) -> Result<HealedWalkRun, CongestError> {
-    let (run, _, _) = run_walks_healing_instrumented(g, kind, specs, seed, plan, None, None)?;
-    Ok(run)
-}
-
-/// [`run_walks_healing`] with opt-in observability: when `trace`
-/// is set, returns one [`RunTrace`] per executed epoch (epoch re-issues
-/// appear as `"walk_epoch_reissue"` events); when `profile` is set, returns
-/// a single [`TrafficProfile`] accumulated across epochs whose per-class
-/// totals sum exactly to the run's [`Metrics`]. Both are `None`-cost when
-/// off and never change results — the simulator's observability contract.
-///
-/// # Errors
-///
-/// Propagates simulator violations and fault-plan validation errors.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_walks_healing_instrumented(
-    g: &Graph,
-    kind: WalkKind,
-    specs: &[WalkSpec],
-    seed: u64,
-    plan: FaultPlan,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
-    run_walks_healing_churned_instrumented(
+    run_walks_healing_observed(
         g,
         kind,
         specs,
         seed,
         plan,
         ChurnPlan::none(),
-        trace,
-        profile,
+        &mut NoObserver,
     )
 }
 
@@ -465,31 +440,29 @@ pub fn run_walks_healing_churned(
     plan: FaultPlan,
     churn: ChurnPlan,
 ) -> Result<HealedWalkRun, CongestError> {
-    let (run, _, _) =
-        run_walks_healing_churned_instrumented(g, kind, specs, seed, plan, churn, None, None)?;
-    Ok(run)
+    run_walks_healing_observed(g, kind, specs, seed, plan, churn, &mut NoObserver)
 }
 
-/// The full healing driver: faults, churn, and opt-in observability in one
-/// signature ([`run_walks_healing_instrumented`] is this with a trivial
-/// churn plan).
+/// The full healing driver — faults, churn, and every epoch's simulator
+/// run observed by `obs` at its accumulated round offset. A
+/// `Vec<RunTrace>` sink gets one trace per executed epoch (epoch re-issues
+/// appear as `"walk_epoch_reissue"` events); a
+/// [`amt_congest::TrafficProfile`] accumulates across epochs with per-class
+/// totals summing exactly to the run's [`Metrics`]. Observing never
+/// changes results.
 ///
 /// # Errors
 ///
-/// Propagates simulator violations and plan validation errors;
-/// [`CongestError::RetryExhausted`] when [`MAX_EPOCHS`] re-issues leave
-/// walks with live starts undelivered.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_walks_healing_churned_instrumented(
+/// As [`run_walks_healing_churned`].
+pub fn run_walks_healing_observed<O: Observer>(
     g: &Graph,
     kind: WalkKind,
     specs: &[WalkSpec],
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
+    obs: &mut O,
+) -> Result<HealedWalkRun, CongestError> {
     assert!(specs.len() < 1 << 16, "wire format carries 16-bit walk ids");
     plan.validate(g.len())?;
     churn.validate(g.len(), g.edge_count())?;
@@ -515,8 +488,6 @@ pub fn run_walks_healing_churned_instrumented(
     let mut rerouted = 0u64;
     let mut epochs = 0u32;
     let mut timeline = RecoveryTimeline::new();
-    let mut traces: Vec<RunTrace> = Vec::new();
-    let mut total_profile: Option<TrafficProfile> = None;
     let mut crashed: Vec<bool> = vec![false; g.len()];
     // Walks still owed an endpoint, re-issued each epoch from the start.
     let mut pending: Vec<u32> = (0..specs.len() as u32)
@@ -591,28 +562,14 @@ pub fn run_walks_healing_churned_instrumented(
         let mut sim = Simulator::new(g, nodes, seed ^ u64::from(epoch))?
             .with_fault_plan(epoch_plan)
             .with_churn_plan(epoch_churn);
-        if let Some(tc) = trace {
-            sim = sim.with_trace(tc);
-        }
-        if let Some(pc) = profile {
-            sim = sim.with_profile(pc);
-        }
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             budget_factor: 16,
             max_rounds: 500_000,
             ..RunConfig::default()
         };
-        metrics = metrics.then(sim.run(&cfg)?);
-        if let Some(t) = sim.take_trace() {
-            traces.push(t);
-        }
-        if let Some(p) = sim.take_profile() {
-            match total_profile.as_mut() {
-                Some(tp) => tp.absorb(&p, round_offset),
-                None => total_profile = Some(p),
-            }
-        }
+        obs.set_round_offset(round_offset);
+        metrics = metrics.then(sim.run_observed(&cfg, obs)?);
         for v in sim.crashed_nodes() {
             crashed[v.index()] = true;
         }
@@ -675,18 +632,14 @@ pub fn run_walks_healing_churned_instrumented(
     // crash-stop permanent; count each node once, not once per epoch.
     metrics.crashed = crashed.iter().filter(|&&c| c).count() as u64;
 
-    Ok((
-        HealedWalkRun {
-            endpoints,
-            metrics,
-            epochs,
-            reissued,
-            rerouted,
-            timeline,
-        },
-        traces,
-        total_profile,
-    ))
+    Ok(HealedWalkRun {
+        endpoints,
+        metrics,
+        epochs,
+        reissued,
+        rerouted,
+        timeline,
+    })
 }
 
 #[cfg(test)]

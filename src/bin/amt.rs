@@ -333,6 +333,21 @@ mod tests {
         assert_eq!(o.get("missing"), None);
     }
 
+    /// A weight the Borůvka candidate encoding cannot carry is reported as
+    /// an error (printed by `main`, exit status 1), not a panic.
+    #[test]
+    fn oversized_boruvka_weight_is_an_error() {
+        let path = std::env::temp_dir().join(format!("amt_weight_{}.txt", std::process::id()));
+        std::fs::write(&path, "0 1 4611686018427387904\n1 2 5\n0 2 7\n").unwrap();
+        let path_arg = path.to_str().unwrap();
+        let err = super::run(&s(&["mst", path_arg, "--algo", "boruvka"])).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            err.contains("edge weight 4611686018427387904 exceeds"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn later_flags_win() {
         let o = Opts::parse(&s(&["--seed", "1", "--seed", "2"])).unwrap();

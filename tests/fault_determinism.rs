@@ -13,11 +13,11 @@
 //! test now compares.
 
 use amt_core::congest::{
-    Ctx, Metrics, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator, StopCondition,
-    TelemetryConfig, TrafficProfile,
+    ChurnPlan, Ctx, Metrics, NoObserver, Protocol, RunConfig, RunTelemetry, Simulator,
+    StopCondition, TelemetryConfig, TelemetryRecorder, TrafficProfile,
 };
 use amt_core::mst::healing::run_healing_churned;
-use amt_core::mst::{run_healing, run_healing_instrumented};
+use amt_core::mst::{run_healing, run_healing_observed};
 use amt_core::prelude::*;
 use amt_core::routing::route_bitfix_churned;
 use amt_core::walks::parallel::degree_proportional_specs;
@@ -89,7 +89,7 @@ fn chatter_run(
         ..RunConfig::default()
     };
     let metrics = if reverse {
-        sim.run_reverse_visit(&cfg).unwrap()
+        sim.run_reverse_visit(&cfg, &mut NoObserver).unwrap()
     } else {
         sim.run(&cfg).unwrap()
     };
@@ -122,16 +122,16 @@ fn profiled_chatter_run(
         .collect();
     let mut sim = Simulator::new(g, nodes, 17)
         .unwrap()
-        .with_fault_plan(plan.clone())
-        .with_profile(ProfileConfig::default());
+        .with_fault_plan(plan.clone());
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
     };
+    let mut profile = TrafficProfile::default();
     let metrics = if reverse {
-        sim.run_reverse_visit(&cfg).unwrap()
+        sim.run_reverse_visit(&cfg, &mut profile).unwrap()
     } else {
-        sim.run(&cfg).unwrap()
+        sim.run_observed(&cfg, &mut profile).unwrap()
     };
     let checksums = sim.nodes().iter().map(|c| c.checksum).collect();
     let loads = sim.edge_load().to_vec();
@@ -142,7 +142,7 @@ fn profiled_chatter_run(
             sim.crashed_nodes(),
             checksums,
         ),
-        sim.take_profile().unwrap(),
+        profile,
         loads,
     )
 }
@@ -199,19 +199,19 @@ fn telemetry_chatter_run(
         .collect();
     let mut sim = Simulator::new(g, nodes, 17)
         .unwrap()
-        .with_fault_plan(plan.clone())
-        .with_telemetry(TelemetryConfig::default());
+        .with_fault_plan(plan.clone());
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
     };
+    let mut recorder = TelemetryRecorder::new(TelemetryConfig::default());
     let metrics = if reverse {
-        sim.run_reverse_visit(&cfg).unwrap()
+        sim.run_reverse_visit(&cfg, &mut recorder).unwrap()
     } else {
-        sim.run(&cfg).unwrap()
+        sim.run_observed(&cfg, &mut recorder).unwrap()
     };
     let checksums = sim.nodes().iter().map(|c| c.checksum).collect();
-    let telemetry = sim.take_telemetry().expect("telemetry was enabled");
+    let telemetry = recorder.into_telemetry();
     (
         (
             metrics,
@@ -396,11 +396,12 @@ fn healing_boruvka_profile_sums_exactly_across_thread_counts() {
         .with_corruption(0.02)
         .with_crash(NodeId(11), 12);
     let run = || {
-        run_healing_instrumented(&wg, 3, plan.clone(), None, Some(ProfileConfig::default()))
-            .unwrap()
+        let mut profile = TrafficProfile::default();
+        let out =
+            run_healing_observed(&wg, 3, plan.clone(), ChurnPlan::none(), &mut profile).unwrap();
+        (out, profile)
     };
-    let (out, _, profile) = run();
-    let profile = profile.expect("profiling was enabled");
+    let (out, profile) = run();
     assert_eq!(profile.total_messages(), out.metrics.messages);
     assert_eq!(profile.total_bits(), out.metrics.bits);
 
@@ -409,14 +410,10 @@ fn healing_boruvka_profile_sums_exactly_across_thread_counts() {
     assert_eq!(plain.tree_edges, out.tree_edges);
     assert_eq!(plain.metrics, out.metrics);
 
-    let (out_r, _, profile_r) = run();
+    let (out_r, profile_r) = run();
     assert_eq!(out_r.tree_edges, out.tree_edges);
     assert_eq!(out_r.metrics, out.metrics, "replay: metrics diverged");
-    assert_eq!(
-        profile_r.as_ref(),
-        Some(&profile),
-        "replay: profile diverged"
-    );
+    assert_eq!(profile_r, profile, "replay: profile diverged");
 }
 
 /// `chatter_run` with a topology-churn plan stacked on the fault plan;
@@ -449,7 +446,7 @@ fn churned_chatter_run(
         ..RunConfig::default()
     };
     let metrics = if reverse {
-        sim.run_reverse_visit(&cfg).unwrap()
+        sim.run_reverse_visit(&cfg, &mut NoObserver).unwrap()
     } else {
         sim.run(&cfg).unwrap()
     };

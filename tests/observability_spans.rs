@@ -4,10 +4,10 @@
 //! tracing must not change the outcome. (The test names keep their
 //! historical "across threads" suffix for test tracking.)
 
-use amt_core::congest::{FaultPlan, ProfileConfig, TraceConfig};
+use amt_core::congest::{ChurnPlan, FaultPlan, RunTrace, TrafficProfile};
 use amt_core::graphs::{generators, NodeId, WeightedGraph};
-use amt_core::mst::{run_healing, run_healing_instrumented};
-use amt_core::walks::healing::{run_walks_healing, run_walks_healing_instrumented};
+use amt_core::mst::{run_healing, run_healing_observed};
+use amt_core::walks::healing::{run_walks_healing, run_walks_healing_observed};
 use amt_core::walks::parallel::degree_proportional_specs;
 use amt_core::walks::WalkKind;
 use rand::rngs::StdRng;
@@ -26,9 +26,12 @@ fn mst_phase_spans_cover_every_healing_phase_identically_across_threads() {
     // Crashing it mid-run forces at least one phase restart.
     let plan = FaultPlan::none().seeded(5).with_crash(NodeId(0), 10);
     let run = || {
-        run_healing_instrumented(&wg, 9, plan.clone(), Some(TraceConfig::default()), None).unwrap()
+        let mut traces = Vec::<RunTrace>::new();
+        let out =
+            run_healing_observed(&wg, 9, plan.clone(), ChurnPlan::none(), &mut traces).unwrap();
+        (out, traces)
     };
-    let (out, traces, _) = run();
+    let (out, traces) = run();
     assert!(out.phase_restarts >= 1, "the crash must restart a phase");
     assert!(!traces.is_empty(), "each phase must contribute a trace");
 
@@ -45,7 +48,7 @@ fn mst_phase_spans_cover_every_healing_phase_identically_across_threads() {
     let expected: Vec<u64> = (1..=traces.len() as u64).collect();
     assert_eq!(phase_of_trace, expected, "phase numbers increase by one");
 
-    let (replay, replay_traces, _) = run();
+    let (replay, replay_traces) = run();
     assert_eq!(replay.tree_edges, out.tree_edges);
     assert_eq!(replay.metrics, out.metrics);
     assert_eq!(
@@ -71,16 +74,18 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_across_threads() {
         .with_crash(NodeId(5), 4)
         .with_crash(NodeId(20), 6);
     let run = || {
-        run_walks_healing_instrumented(
+        let mut obs = (Vec::<RunTrace>::new(), TrafficProfile::default());
+        let out = run_walks_healing_observed(
             &g,
             WalkKind::Lazy,
             &specs,
             11,
             plan.clone(),
-            Some(TraceConfig::default()),
-            Some(ProfileConfig::default()),
+            ChurnPlan::none(),
+            &mut obs,
         )
-        .unwrap()
+        .unwrap();
+        (out, obs.0, obs.1)
     };
     let (out, traces, profile) = run();
     assert_eq!(traces.len(), out.epochs as usize, "one trace per epoch");
@@ -123,7 +128,6 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_across_threads() {
     }
 
     // The accumulated profile still sums exactly across epochs.
-    let profile = profile.expect("profiling was enabled");
     assert_eq!(profile.total_messages(), out.metrics.messages);
     assert_eq!(profile.total_bits(), out.metrics.bits);
 
@@ -134,7 +138,7 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_across_threads() {
         replay_traces, traces,
         "span streams must replay identically"
     );
-    assert_eq!(replay_profile, Some(profile));
+    assert_eq!(replay_profile, profile);
     let untraced = run_walks_healing(&g, WalkKind::Lazy, &specs, 11, plan.clone()).unwrap();
     assert_eq!(untraced.endpoints, out.endpoints);
     assert_eq!(untraced.metrics, out.metrics, "tracing changed the run");

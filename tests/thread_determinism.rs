@@ -10,8 +10,8 @@
 //! test now compares.
 
 use amt_core::congest::{
-    class, Ctx, Metrics, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
-    StopCondition, TelemetryConfig,
+    class, Ctx, Metrics, NoObserver, Protocol, RunConfig, RunTelemetry, Simulator, StopCondition,
+    TelemetryConfig, TelemetryRecorder, TrafficProfile,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
@@ -56,8 +56,8 @@ fn boruvka_runs_are_identical_across_thread_counts() {
             amt_core::mst::reference::kruskal(&wg).unwrap()
         );
         let replay = congest_boruvka::run(&wg, seed).unwrap();
-        let (profiled, _) =
-            congest_boruvka::run_instrumented(&wg, seed, Some(ProfileConfig::default())).unwrap();
+        let profiled =
+            congest_boruvka::run_observed(&wg, seed, &mut TrafficProfile::default()).unwrap();
         for (label, run) in [("replay", replay), ("profiled", profiled)] {
             assert_eq!(run.tree_edges, baseline.tree_edges);
             assert_eq!(run.total_weight, baseline.total_weight);
@@ -353,7 +353,7 @@ fn routing_runs_are_identical_across_thread_counts() {
             ..RunConfig::default()
         };
         let m = if reverse {
-            sim.run_reverse_visit(&cfg).unwrap()
+            sim.run_reverse_visit(&cfg, &mut NoObserver).unwrap()
         } else {
             sim.run(&cfg).unwrap()
         };
@@ -405,16 +405,15 @@ fn profiled_runs_sum_exactly_and_are_identical_across_thread_counts() {
         ..RunConfig::default()
     };
     let run_profiled = |reverse: bool| {
-        let mut sim = Simulator::new(&g, mk_nodes(8), 8)
-            .unwrap()
-            .with_profile(ProfileConfig::default());
+        let mut sim = Simulator::new(&g, mk_nodes(8), 8).unwrap();
+        let mut profile = TrafficProfile::default();
         let m = if reverse {
-            sim.run_reverse_visit(&cfg).unwrap()
+            sim.run_reverse_visit(&cfg, &mut profile).unwrap()
         } else {
-            sim.run(&cfg).unwrap()
+            sim.run_observed(&cfg, &mut profile).unwrap()
         };
         let loads = sim.edge_load().to_vec();
-        (m, sim.take_profile().unwrap(), loads)
+        (m, profile, loads)
     };
     let (m, profile, loads) = run_profiled(false);
 
@@ -464,24 +463,24 @@ fn telemetry_runs_are_identical_across_thread_counts() {
     };
     let run = |reverse: bool, telemetry: bool| {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8).unwrap();
-        if telemetry {
-            sim = sim.with_telemetry(TelemetryConfig::default());
-        }
+        let mut recorder = TelemetryRecorder::new(TelemetryConfig::default());
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
         };
-        let m = if reverse {
-            sim.run_reverse_visit(&cfg).unwrap()
-        } else {
-            sim.run(&cfg).unwrap()
-        };
+        let m = match (reverse, telemetry) {
+            (false, false) => sim.run(&cfg),
+            (true, false) => sim.run_reverse_visit(&cfg, &mut NoObserver),
+            (false, true) => sim.run_observed(&cfg, &mut recorder),
+            (true, true) => sim.run_reverse_visit(&cfg, &mut recorder),
+        }
+        .unwrap();
         let state: Vec<(u64, u64)> = sim
             .nodes()
             .iter()
             .map(|p| (p.delivered, p.checksum))
             .collect();
-        (m, state, sim.take_telemetry())
+        (m, state, telemetry.then(|| recorder.into_telemetry()))
     };
     let logical = |t: &RunTelemetry| (t.rounds, t.hwm, t.nodes_stepped, t.messages_staged);
     let (m_plain, s_plain, none) = run(false, false);
@@ -546,7 +545,7 @@ fn churned_routing_workload_is_identical_across_threads_and_visit_order() {
             ..RunConfig::default()
         };
         let m = if reverse {
-            sim.run_reverse_visit(&cfg).unwrap()
+            sim.run_reverse_visit(&cfg, &mut NoObserver).unwrap()
         } else {
             sim.run(&cfg).unwrap()
         };
@@ -580,9 +579,12 @@ fn profiled_boruvka_accumulates_exactly_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(78);
     let g = generators::connected_erdos_renyi(48, 0.12, 50, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 1000, &mut rng);
-    let run = || congest_boruvka::run_instrumented(&wg, 4, Some(ProfileConfig::default())).unwrap();
+    let run = || {
+        let mut profile = TrafficProfile::default();
+        let out = congest_boruvka::run_observed(&wg, 4, &mut profile).unwrap();
+        (out, profile)
+    };
     let (out, profile) = run();
-    let profile = profile.expect("profiling was enabled");
     assert_eq!(profile.total_messages(), out.messages);
     assert!(profile.stats(class::MST_FLOOD).is_some());
     assert!(profile.stats(class::MST_LABEL).is_some());
@@ -596,9 +598,5 @@ fn profiled_boruvka_accumulates_exactly_across_thread_counts() {
     let (out_r, profile_r) = run();
     assert_eq!(out_r.tree_edges, out.tree_edges);
     assert_eq!(out_r.rounds, out.rounds, "replay: rounds diverged");
-    assert_eq!(
-        profile_r.as_ref(),
-        Some(&profile),
-        "replay: profile diverged"
-    );
+    assert_eq!(profile_r, profile, "replay: profile diverged");
 }
